@@ -11,7 +11,7 @@ import hyperwalk as hw
 # arbitrary non-empty subset of the vertices. The triangle graph, read as a
 # hypergraph, has three 2-element hyperedges.
 triangle = hw.from_edge_lists(3, [{0, 1}, {1, 2}, {0, 2}])
-print("triangle incidence matrix:")
+print("triangle incidence matrix (a dense view, built on access):")
 print(triangle.incidence)
 
 profile = hw.degree_profile(triangle)
@@ -21,12 +21,14 @@ print("edge sizes:    ", profile.edge_degrees, "-> uniform with k =", profile.k)
 # The degree handshake: both totals count the incident (vertex, edge) pairs.
 print("sum d(v) =", profile.vertex_degrees.sum(), "== sum delta(e) =", profile.edge_degrees.sum())
 
-# The bipartite model puts vertices on one side, hyperedges on the other,
-# and connects v to e exactly when v is a member of e.
-model = hw.to_bipartite(triangle)
-print("\nbiadjacency matrix (vertices 0-2, hyperedges 3-5):")
-print(model.biadjacency)
-print("symmetric:", np.array_equal(model.biadjacency, model.biadjacency.T))
+# What is stored is the list of incident (vertex, hyperedge) pairs, sorted
+# by vertex, then hyperedge. These pairs are exactly the edges of the
+# bipartite incidence graph: vertices on one side, hyperedges on the other,
+# v joined to e when v is a member of e.
+print("\nbipartite edge list (vertex, hyperedge):")
+for v, e in zip(triangle.pair_v.tolist(), triangle.pair_e.tolist()):
+    print(f"  v{v} -- e{e}")
+print("per-side degrees from the list:", np.bincount(triangle.pair_v), np.bincount(triangle.pair_e))
 
 # Random d-regular k-uniform instances come from a stub-pairing
 # configuration model and are deterministic per seed.

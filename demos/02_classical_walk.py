@@ -30,10 +30,16 @@ for t in range(4):
     print(f"t={t}:", np.round(dist.probabilities, 6))
     dist = hw.classical_step(ts, dist)
 
-# The fixed point of a regular uniform instance is the uniform law, found
-# here by power iteration.
+# The walk is reversible, so its stationary law has a closed form:
+# pi(v) = d(v) / N, with N the number of incident pairs. A regular uniform
+# instance therefore has the uniform law, and one step leaves it unchanged.
 pi = hw.stationary_distribution(ts, "vertex")
-print("\nstationary distribution:", pi.probabilities)
+print("\nstationary distribution d(v)/N:", pi.probabilities)
+print("after one step:               ", hw.classical_step(ts, pi).probabilities)
+
+# A non-regular hypergraph weights each vertex by its degree.
+irregular = hw.build_transitions(hw.from_edge_lists(4, [{0, 1, 2}, {2, 3}, {0, 3}]))
+print("non-regular {012, 23, 03}:", hw.stationary_distribution(irregular, "vertex").probabilities)
 
 # Sampled trajectories alternate vertex, edge, vertex, ... and their
 # vertex-visit frequencies converge to the stationary law.

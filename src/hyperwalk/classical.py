@@ -1,10 +1,10 @@
 """Classical two-step random walk on a hypergraph.
 
 One step goes vertex -> hyperedge -> vertex: from a vertex, pick an incident
-hyperedge uniformly, then a destination vertex inside it uniformly. The
-vertex chain and the dual edge chain are the two round-trip products of the
-one-sided transition matrices D_v^-1 H (vertex to edge) and D_e^-1 H^T
-(edge to vertex).
+hyperedge uniformly, then a destination vertex inside it uniformly. Both
+half-steps are held per incident pair (v, e): p_ve = 1/d(v), p_ev = 1/|e|.
+The one-sided matrices D_v^-1 H and D_e^-1 H^T and their round-trip
+products, the vertex chain and the dual edge chain, are views of these.
 """
 
 from __future__ import annotations
@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoConvergenceError
-from .hypergraph import Hypergraph
+from .errors import DimensionMismatchError
+from .hypergraph import Hypergraph, degree_profile, scatter
 
-POWER_ITERATION_CAP = 100_000
-POWER_ITERATION_TOL = 1e-12
 # Hard bound is loose (1e-9): marginals of long evolutions legitimately
 # drift past the 1e-12 a freshly built distribution satisfies.
 _DIST_SUM_TOL = 1e-9
@@ -25,24 +23,40 @@ _DIST_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TransitionSystem:
-    """The four stochastic matrices of the two-step walk.
+    """p_ve[i] = 1/d(v) and p_ev[i] = 1/|e| at the hypergraph's i-th pair (v, e).
 
-    vertex_to_edge is n x m, edge_to_vertex is m x n; vertex_chain is their
-    n x n product and edge_chain the m x m product in the other order.
+    The stochastic matrices are dense views built on access: vertex_to_edge
+    is n x m, edge_to_vertex is m x n, vertex_chain is their n x n product
+    and edge_chain the m x m product in the other order.
     """
 
-    vertex_to_edge: np.ndarray
-    edge_to_vertex: np.ndarray
-    vertex_chain: np.ndarray
-    edge_chain: np.ndarray
+    hypergraph: Hypergraph
+    p_ve: np.ndarray
+    p_ev: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.vertex_to_edge.shape[0]
+        return self.hypergraph.n
 
     @property
     def m(self) -> int:
-        return self.vertex_to_edge.shape[1]
+        return self.hypergraph.m
+
+    @property
+    def vertex_to_edge(self) -> np.ndarray:
+        return scatter((self.n, self.m), self.hypergraph.pair_v, self.hypergraph.pair_e, self.p_ve)
+
+    @property
+    def edge_to_vertex(self) -> np.ndarray:
+        return scatter((self.m, self.n), self.hypergraph.pair_e, self.hypergraph.pair_v, self.p_ev)
+
+    @property
+    def vertex_chain(self) -> np.ndarray:
+        return self.vertex_to_edge @ self.edge_to_vertex
+
+    @property
+    def edge_chain(self) -> np.ndarray:
+        return self.edge_to_vertex @ self.vertex_to_edge
 
 
 @dataclass(frozen=True)
@@ -68,50 +82,40 @@ class Distribution:
 
 
 def build_transitions(hg: Hypergraph) -> TransitionSystem:
-    """Transition matrices of the two-step walk on a hypergraph."""
-    h = hg.incidence.astype(np.float64)
-    vertex_degrees = h.sum(axis=1)
-    edge_degrees = h.sum(axis=0)
-    vertex_to_edge = h / vertex_degrees[:, None]
-    edge_to_vertex = h.T / edge_degrees[:, None]
+    """Per-pair transition probabilities of the two-step walk on a hypergraph."""
+    profile = degree_profile(hg)
     return TransitionSystem(
-        vertex_to_edge=vertex_to_edge,
-        edge_to_vertex=edge_to_vertex,
-        vertex_chain=vertex_to_edge @ edge_to_vertex,
-        edge_chain=edge_to_vertex @ vertex_to_edge,
+        hypergraph=hg,
+        p_ve=1.0 / profile.vertex_degrees[hg.pair_v],
+        p_ev=1.0 / profile.edge_degrees[hg.pair_e],
     )
 
 
 def stationary_distribution(ts: TransitionSystem, which: str = "vertex") -> Distribution:
-    """Fixed point of the vertex chain (or edge chain) by power iteration.
+    """Stationary law of the vertex chain (or edge chain), in closed form.
 
-    Starts from the uniform vector and stops when successive iterates differ
-    by less than 1e-12 in max-norm. For a disconnected hypergraph the result
-    is the fixed point this particular start converges to, not a unique
-    stationary law; check connectivity separately if that matters.
+    With N incident pairs, pi(v) = d(v)/N satisfies detailed balance:
+    pi(v) P(v, u) = sum over shared hyperedges e of 1/(N |e|), symmetric in
+    v and u; likewise pi(e) = |e|/N for the edge chain. On a connected
+    hypergraph this law is unique. A disconnected one has one per component,
+    and this returns the mixture weighting each component by its share of N.
     """
-    if which == "vertex":
-        chain = ts.vertex_chain
-    elif which == "edge":
-        chain = ts.edge_chain
-    else:
+    if which not in ("vertex", "edge"):
         raise ValueError(f"which must be 'vertex' or 'edge', got {which!r}")
-    x = np.full(chain.shape[0], 1.0 / chain.shape[0])
-    for _ in range(POWER_ITERATION_CAP):
-        x_next = x @ chain
-        if np.abs(x_next - x).max() < POWER_ITERATION_TOL:
-            return Distribution(x_next)
-        x = x_next
-    raise NoConvergenceError(
-        f"power iteration did not converge within {POWER_ITERATION_CAP} steps"
-    )
+    profile = degree_profile(ts.hypergraph)
+    degrees = profile.vertex_degrees if which == "vertex" else profile.edge_degrees
+    return Distribution(degrees / degrees.sum())
 
 
 def classical_step(ts: TransitionSystem, dist: Distribution) -> Distribution:
-    """One vertex-to-vertex step: the row vector dist times the vertex chain."""
+    """One vertex-to-vertex step: mass flows v -> e -> u along the incident pairs."""
     if len(dist) != ts.n:
         raise DimensionMismatchError(f"distribution has {len(dist)} entries, chain has {ts.n}")
-    return Distribution(dist.probabilities @ ts.vertex_chain)
+    hg = ts.hypergraph
+    flow_ve = dist.probabilities[hg.pair_v] * ts.p_ve
+    edge_mass = np.bincount(hg.pair_e, weights=flow_ve, minlength=ts.m)
+    flow_ev = edge_mass[hg.pair_e] * ts.p_ev
+    return Distribution(np.bincount(hg.pair_v, weights=flow_ev, minlength=ts.n))
 
 
 def sample_trajectory(ts: TransitionSystem, start_vertex: int, steps: int, seed: int = 0) -> list[int]:

@@ -189,7 +189,7 @@ def _cmd_evolve(args) -> int:
     ts = build_transitions(hg)
     ps = build_pair_space(hg)
     iso = build_isometries(hg, ts, ps)
-    walk = build_walk(iso, materialize=False)
+    walk = build_walk(iso)
     psi = _parse_start(args.start, ps, iso)
     rows = [(0, vertex_distribution(ps, psi).probabilities)]
     for t in range(1, args.steps + 1):

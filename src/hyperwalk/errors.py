@@ -38,11 +38,7 @@ class DimensionMismatchError(HyperwalkError):
 
 
 class DimensionTooLargeError(HyperwalkError):
-    """Dense materialization requested above the dense cap."""
-
-
-class NoConvergenceError(HyperwalkError):
-    """Power iteration hit its iteration cap without converging."""
+    """A dense walk matrix was requested above the dense cap."""
 
 
 class InvalidToleranceError(HyperwalkError):

@@ -1,13 +1,13 @@
-"""Hypergraphs as 0/1 incidence matrices.
+"""Hypergraphs as sorted incidence lists.
 
-A hypergraph here is n vertices plus m hyperedges, each hyperedge a
-non-empty subset of the vertices, stored as an n-by-m incidence matrix with
-a 1 at (v, e) exactly when vertex v belongs to hyperedge e. Isolated
-vertices and empty hyperedges are rejected outright: every downstream
-transition matrix divides by the vertex and edge degrees.
+A hypergraph here is n vertices plus m hyperedges, each a non-empty vertex
+subset, stored as its N incident (vertex, hyperedge) pairs: int64 arrays
+pair_v and pair_e sorted by (v, e), the edges of the bipartite incidence
+graph. Every later layer works from them; the n-by-m incidence matrix is a
+view built on access. Isolated vertices and empty hyperedges are rejected:
+every transition probability divides by the vertex and edge degrees.
 
-Also defined here: degree profiles, the bipartite incidence-graph model
-(vertices on one side, hyperedges on the other), a configuration-model
+Also defined here: degree profiles, connectivity, a configuration-model
 generator for d-regular k-uniform instances, and the plain-text .hg format.
 """
 
@@ -30,40 +30,72 @@ GENERATOR_RETRY_BUDGET = 1000
 _REPAIR_PASSES = 200
 
 
+def scatter(shape: tuple[int, int], rows, cols, values) -> np.ndarray:
+    """Dense matrix of the given shape holding values at (rows, cols), zero elsewhere."""
+    out = np.zeros(shape, dtype=np.result_type(values))
+    out[rows, cols] = values
+    return out
+
+
+def _first_absent(index: np.ndarray, count: int) -> int | None:
+    """Smallest id in [0, count) missing from index, or None; count sizes no array."""
+    present = np.unique(index)
+    gaps = np.flatnonzero(present != np.arange(present.size))
+    return int(gaps[0]) if gaps.size else (present.size if present.size < count else None)
+
+
 @dataclass(frozen=True)
 class Hypergraph:
-    """Immutable hypergraph: vertex count, edge count, incidence matrix."""
+    """Immutable hypergraph: n, m and the incident pairs, validated, read-only, sorted by (v, e)."""
 
     n: int
     m: int
-    incidence: np.ndarray
+    pair_v: np.ndarray
+    pair_e: np.ndarray
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("hypergraph needs at least one vertex and one hyperedge")
-        h = np.asarray(self.incidence)
-        if h.shape != (self.n, self.m):
-            raise ValueError(f"incidence shape {h.shape} != ({self.n}, {self.m})")
-        if not np.isin(h, (0, 1)).all():
-            raise ValueError("incidence entries must be exactly 0 or 1")
-        h = h.astype(np.int64, copy=True)
-        empty = np.flatnonzero(h.sum(axis=0) == 0)
-        if empty.size:
-            raise EmptyEdgeError(f"hyperedge {empty[0]} contains no vertices")
-        isolated = np.flatnonzero(h.sum(axis=1) == 0)
-        if isolated.size:
-            raise IsolatedVertexError(f"vertex {isolated[0]} appears in no hyperedge")
+        pair_v = np.asarray(self.pair_v, dtype=np.int64)
+        pair_e = np.asarray(self.pair_e, dtype=np.int64)
+        if pair_v.ndim != 1 or pair_v.shape != pair_e.shape:
+            raise ValueError("pair_v and pair_e must be flat arrays of equal length")
+        bad = np.flatnonzero((pair_v < 0) | (pair_v >= self.n) | (pair_e < 0) | (pair_e >= self.m))
+        if bad.size:
+            v, e = int(pair_v[bad[0]]), int(pair_e[bad[0]])
+            raise IndexOutOfRangeError(f"pair ({v}, {e}) outside [0, {self.n}) x [0, {self.m})")
+        order = np.lexsort((pair_e, pair_v))
+        pair_v, pair_e = pair_v[order], pair_e[order]
+        repeat = np.flatnonzero((pair_v[1:] == pair_v[:-1]) & (pair_e[1:] == pair_e[:-1]))
+        if repeat.size:
+            raise ValueError(f"hyperedge {pair_e[repeat[0]]} repeats vertex {pair_v[repeat[0]]}")
+        empty = _first_absent(pair_e, self.m)
+        if empty is not None:
+            raise EmptyEdgeError(f"hyperedge {empty} contains no vertices")
+        isolated = _first_absent(pair_v, self.n)
+        if isolated is not None:
+            raise IsolatedVertexError(f"vertex {isolated} appears in no hyperedge")
+        for name, arr in (("pair_v", pair_v), ("pair_e", pair_e)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def incidence(self) -> np.ndarray:
+        """Read-only dense n x m 0/1 matrix, built on each access."""
+        h = scatter((self.n, self.m), self.pair_v, self.pair_e, 1)
         h.setflags(write=False)
-        object.__setattr__(self, "incidence", h)
+        return h
 
     def edge_sets(self) -> list[list[int]]:
         """Vertex indices of each hyperedge, sorted ascending, in edge order."""
-        return [np.flatnonzero(self.incidence[:, j]).tolist() for j in range(self.m)]
+        by_edge = self.pair_v[np.argsort(self.pair_e, kind="stable")]
+        bounds = np.cumsum(np.bincount(self.pair_e, minlength=self.m))[:-1]
+        return [edge.tolist() for edge in np.split(by_edge, bounds)]
 
 
 @dataclass(frozen=True)
 class DegreeProfile:
-    """Row and column sums of the incidence matrix, with regularity flags.
+    """Vertex degrees and hyperedge sizes, with regularity flags.
 
     ``d`` is the common vertex degree when the hypergraph is regular, else
     None; ``k`` is the common hyperedge size when uniform, else None.
@@ -83,71 +115,40 @@ class DegreeProfile:
         return self.k is not None
 
 
-@dataclass(frozen=True)
-class BipartiteModel:
-    """Biadjacency matrix [[0, H], [H^T, 0]] of the vertex/edge bipartite graph."""
-
-    biadjacency: np.ndarray
-
-
 def from_edge_lists(n: int, edges) -> Hypergraph:
     """Build a hypergraph on n vertices from an ordered collection of vertex sets."""
-    edges = list(edges)
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    h = np.zeros((n, len(edges)), dtype=np.int64)
-    for j, edge in enumerate(edges):
-        members = list(edge)
-        if not members:
-            raise EmptyEdgeError(f"hyperedge {j} is empty")
-        if len(set(members)) != len(members):
-            raise ValueError(f"hyperedge {j} repeats a vertex")
-        for v in members:
-            v = int(v)
-            if not 0 <= v < n:
-                raise IndexOutOfRangeError(f"hyperedge {j}: vertex {v} outside [0, {n})")
-            h[v, j] = 1
-    return Hypergraph(n, len(edges), h)
+    edges = [[int(v) for v in edge] for edge in edges]
+    pair_v = np.array([v for edge in edges for v in edge], dtype=np.int64)
+    pair_e = np.repeat(np.arange(len(edges)), [len(edge) for edge in edges])
+    return Hypergraph(n, len(edges), pair_v, pair_e)
 
 
 def degree_profile(hg: Hypergraph) -> DegreeProfile:
     """Vertex degrees d(v), hyperedge sizes, and regular/uniform flags."""
-    vertex_degrees = hg.incidence.sum(axis=1)
-    edge_degrees = hg.incidence.sum(axis=0)
+    vertex_degrees = np.bincount(hg.pair_v, minlength=hg.n)
+    edge_degrees = np.bincount(hg.pair_e, minlength=hg.m)
     d = int(vertex_degrees[0]) if (vertex_degrees == vertex_degrees[0]).all() else None
     k = int(edge_degrees[0]) if (edge_degrees == edge_degrees[0]).all() else None
     return DegreeProfile(vertex_degrees, edge_degrees, d, k)
 
 
-def to_bipartite(hg: Hypergraph) -> BipartiteModel:
-    """Biadjacency matrix of the bipartite incidence graph, size (n+m) x (n+m)."""
-    h = hg.incidence
-    biadjacency = np.block(
-        [
-            [np.zeros((hg.n, hg.n), dtype=np.int64), h],
-            [h.T, np.zeros((hg.m, hg.m), dtype=np.int64)],
-        ]
-    )
-    return BipartiteModel(biadjacency)
-
-
 def is_connected(hg: Hypergraph) -> bool:
-    """True when the bipartite incidence graph is a single component."""
-    seen_v = np.zeros(hg.n, dtype=bool)
-    seen_e = np.zeros(hg.m, dtype=bool)
-    stack = [0]
-    seen_v[0] = True
-    while stack:
-        v = stack.pop()
-        for e in np.flatnonzero(hg.incidence[v]):
-            if seen_e[e]:
-                continue
-            seen_e[e] = True
-            for u in np.flatnonzero(hg.incidence[:, e]):
-                if not seen_v[u]:
-                    seen_v[u] = True
-                    stack.append(int(u))
-    return bool(seen_v.all() and seen_e.all())
+    """True when the bipartite incidence graph is a single component.
+
+    Each root hooks onto the smallest root across a shared hyperedge, then
+    pointer jumping flattens the chains; no hyperedge is empty, so the
+    vertices alone decide connectivity."""
+    root = np.arange(hg.n)
+    while True:
+        edge_min = np.full(hg.m, hg.n)
+        np.minimum.at(edge_min, hg.pair_e, root[hg.pair_v])
+        hooked = root.copy()
+        np.minimum.at(hooked, root[hg.pair_v], edge_min[hg.pair_e])
+        while not np.array_equal(hooked, hooked[hooked]):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, root):
+            return bool((root == 0).all())
+        root = hooked
 
 
 def _repair_pairing(rng, stub_v, stub_e):
@@ -196,9 +197,7 @@ def random_regular_uniform(n: int, m: int, k: int, d: int, seed: int = 0) -> Hyp
         paired = _repair_pairing(rng, stub_v, rng.permutation(stub_e))
         if paired is None:
             continue
-        h = np.zeros((n, m), dtype=np.int64)
-        h[stub_v, paired] = 1
-        return Hypergraph(n, m, h)
+        return Hypergraph(n, m, stub_v, paired)
     raise GenerationFailedError(
         f"no simple incidence structure found for (n={n}, m={m}, k={k}, d={d}) "
         f"within {GENERATOR_RETRY_BUDGET} attempts"

@@ -8,12 +8,13 @@ operator and are simply not represented. Both tensor orderings of the
 literature are identified with this single pair basis, which is the only
 reading under which the two reflections compose on one space.
 
-The vertex isometry has one column per vertex v: the unit state spread over
-the pairs (v, e) with amplitudes sqrt(p_ve). The edge isometry has one
-column per hyperedge e: the unit state spread over the pairs (v, e) with
-amplitudes sqrt(p_ev). A walk step is the reflection about the span of the
-vertex columns followed by the reflection about the span of the edge
-columns, applied in factored form so the dense matrix is never required.
+The vertex isometry A has one column per vertex v: the unit state spread
+over the pairs (v, e) with amplitudes a = sqrt(p_ve). The edge isometry B
+has one column per hyperedge e, with amplitudes b = sqrt(p_ev). Each has one
+nonzero per row, so both are held as weight vectors over the pair list. A
+walk step is the reflection 2AA^T - I followed by 2BB^T - I, which
+walk_action applies as segment sums in O(N). The dense isometries and walk
+matrix are views built on access for the eig oracle and small tests.
 
 Amplitudes are complex throughout, even though the walk matrix is real
 orthogonal, because its eigenvectors are genuinely complex.
@@ -23,12 +24,13 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .classical import Distribution, TransitionSystem
 from .errors import DimensionMismatchError, DimensionTooLargeError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, scatter
 
 DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
 DEFAULT_DENSE_CAP = 4096
@@ -36,7 +38,7 @@ _NORM_HARD_TOL = 1e-9
 
 
 def dense_cap() -> int:
-    """Dense materialization cap, overridable via HYPERWALK_DENSE_CAP."""
+    """Largest pair dimension N for a dense walk matrix, overridable via HYPERWALK_DENSE_CAP."""
     raw = os.environ.get(DENSE_CAP_ENV)
     if raw is None:
         return DEFAULT_DENSE_CAP
@@ -51,13 +53,12 @@ def dense_cap() -> int:
 
 @dataclass(frozen=True)
 class PairSpace:
-    """Ordered basis of incident (vertex, hyperedge) pairs."""
+    """Ordered basis of incident pairs: the hypergraph's own sorted pair lists."""
 
     n: int
     m: int
     pair_v: np.ndarray
     pair_e: np.ndarray
-    index_of: dict
 
     @property
     def size(self) -> int:
@@ -67,35 +68,62 @@ class PairSpace:
     def pairs(self) -> list[tuple[int, int]]:
         return list(zip(self.pair_v.tolist(), self.pair_e.tolist()))
 
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(vertex_starts, edge_order, edge_starts): where each vertex's pairs start,
+        the pair indices hyperedge by hyperedge, and where each hyperedge starts there."""
+        edge_order = np.argsort(self.pair_e, kind="stable")
+        edge_starts = np.searchsorted(self.pair_e[edge_order], np.arange(self.m))
+        return np.searchsorted(self.pair_v, np.arange(self.n)), edge_order, edge_starts
+
 
 @dataclass(frozen=True)
 class IsometryPair:
-    """The vertex and edge isometries, with the pair space they act on.
+    """sqrt(p_ve) and sqrt(p_ev) at each pair (v, e); the N x n vertex_isometry
+    and N x m edge_isometry are dense views of them with orthonormal columns."""
 
-    vertex_isometry is N x n and edge_isometry is N x m; both have
-    orthonormal columns. pair_space is None for synthetic isometries that do
-    not come from a hypergraph.
-    """
+    pair_space: PairSpace
+    vertex_weights: np.ndarray
+    edge_weights: np.ndarray
 
-    vertex_isometry: np.ndarray
-    edge_isometry: np.ndarray
-    pair_space: PairSpace | None = None
+    @property
+    def vertex_isometry(self) -> np.ndarray:
+        ps = self.pair_space
+        return scatter((ps.size, ps.n), np.arange(ps.size), ps.pair_v, self.vertex_weights)
+
+    @property
+    def edge_isometry(self) -> np.ndarray:
+        ps = self.pair_space
+        return scatter((ps.size, ps.m), np.arange(ps.size), ps.pair_e, self.edge_weights)
 
 
 @dataclass(frozen=True)
 class WalkOperator:
-    """One walk step, as a factored pair of reflections plus optional dense form."""
+    """One walk step: the pair of reflections given by an isometry pair."""
 
     isometries: IsometryPair
-    dense: np.ndarray | None
 
     @property
-    def pair_space(self) -> PairSpace | None:
+    def pair_space(self) -> PairSpace:
         return self.isometries.pair_space
 
     @property
     def size(self) -> int:
-        return self.isometries.vertex_isometry.shape[0]
+        return self.pair_space.size
+
+    @property
+    def dense(self) -> np.ndarray:
+        """(2BB^T - I)(2AA^T - I) from the dense isometries, independent of walk_action.
+
+        Raises DimensionTooLargeError when N exceeds the dense cap.
+        """
+        cap = dense_cap()
+        if self.size > cap:
+            raise DimensionTooLargeError(f"pair dimension {self.size} exceeds dense cap {cap}")
+        a = self.isometries.vertex_isometry
+        b = self.isometries.edge_isometry
+        eye = np.eye(self.size)
+        return (2.0 * (b @ b.T) - eye) @ (2.0 * (a @ a.T) - eye)
 
 
 @dataclass(frozen=True)
@@ -123,74 +151,50 @@ class StateVector:
 
 
 def build_pair_space(hg: Hypergraph) -> PairSpace:
-    """Enumerate incident pairs in lexicographic (vertex, edge) order."""
-    pair_v, pair_e = np.nonzero(hg.incidence)
-    index_of = {(int(v), int(e)): i for i, (v, e) in enumerate(zip(pair_v, pair_e))}
-    return PairSpace(n=hg.n, m=hg.m, pair_v=pair_v, pair_e=pair_e, index_of=index_of)
+    """The hypergraph's incident pairs, in lexicographic (vertex, edge) order."""
+    return PairSpace(n=hg.n, m=hg.m, pair_v=hg.pair_v, pair_e=hg.pair_e)
 
 
 def build_isometries(hg: Hypergraph, ts: TransitionSystem, ps: PairSpace) -> IsometryPair:
-    """Assemble the vertex and edge isometries from the transition matrices."""
-    if (hg.n, hg.m) != (ts.n, ts.m) or (ps.n, ps.m) != (hg.n, hg.m):
+    """Isometry weights from the per-pair transition probabilities."""
+    if (hg.n, hg.m) != (ts.n, ts.m) or (ps.n, ps.m, ps.size) != (hg.n, hg.m, ts.p_ve.size):
         raise DimensionMismatchError("hypergraph, transitions and pair space disagree")
-    size = ps.size
-    rows = np.arange(size)
-    vertex_isometry = np.zeros((size, hg.n))
-    vertex_isometry[rows, ps.pair_v] = np.sqrt(ts.vertex_to_edge[ps.pair_v, ps.pair_e])
-    edge_isometry = np.zeros((size, hg.m))
-    edge_isometry[rows, ps.pair_e] = np.sqrt(ts.edge_to_vertex[ps.pair_e, ps.pair_v])
-    return IsometryPair(vertex_isometry, edge_isometry, ps)
+    return IsometryPair(ps, np.sqrt(ts.p_ve), np.sqrt(ts.p_ev))
 
 
-def build_walk(iso: IsometryPair, materialize: bool | None = None) -> WalkOperator:
-    """Walk operator from an isometry pair.
-
-    materialize=None (default) builds the dense matrix only when the pair
-    dimension fits under the dense cap; True insists on it and raises
-    DimensionTooLargeError above the cap; False keeps the factored form only.
-    """
-    size = iso.vertex_isometry.shape[0]
-    cap = dense_cap()
-    if materialize is None:
-        materialize = size <= cap
-    elif materialize and size > cap:
-        raise DimensionTooLargeError(f"pair dimension {size} exceeds dense cap {cap}")
-    dense = None
-    if materialize:
-        eye = np.eye(size)
-        reflect_v = 2.0 * (iso.vertex_isometry @ iso.vertex_isometry.T) - eye
-        reflect_e = 2.0 * (iso.edge_isometry @ iso.edge_isometry.T) - eye
-        dense = reflect_e @ reflect_v
-    return WalkOperator(isometries=iso, dense=dense)
-
-
-def _apply_factored(iso: IsometryPair, amplitudes: np.ndarray) -> np.ndarray:
-    """Apply one walk step to a complex vector via the two factored reflections.
-
-    Real and imaginary parts ride as two columns so the real isometries are
-    never upcast to complex.
-    """
-    x = np.column_stack((amplitudes.real, amplitudes.imag))
-    a = iso.vertex_isometry
-    b = iso.edge_isometry
-    x = 2.0 * (a @ (a.T @ x)) - x
-    x = 2.0 * (b @ (b.T @ x)) - x
-    return x[:, 0] + 1j * x[:, 1]
+def build_walk(iso: IsometryPair) -> WalkOperator:
+    """Walk operator from an isometry pair."""
+    return WalkOperator(isometries=iso)
 
 
 def walk_action(iso: IsometryPair, states: np.ndarray) -> np.ndarray:
-    """Walk step applied to the columns of a (possibly complex) matrix."""
-    y = 2.0 * (iso.vertex_isometry @ (iso.vertex_isometry.T @ states)) - states
-    return 2.0 * (iso.edge_isometry @ (iso.edge_isometry.T @ y)) - y
+    """One walk step applied to a state vector, or to each column of a matrix.
+
+    Each reflection 2P - I only mixes the pairs of one vertex (or of one
+    hyperedge): P sums the weighted amplitudes over that segment and spreads
+    the sum back with the same weights. A step costs O(N) per column.
+    """
+    ps = iso.pair_space
+    vertex_starts, edge_order, edge_starts = ps.segments
+    a, b = iso.vertex_weights, iso.edge_weights
+    if np.ndim(states) == 2:
+        a, b = a[:, None], b[:, None]
+    y = np.add.reduceat(a * states, vertex_starts, axis=0)[ps.pair_v]
+    y *= 2.0 * a
+    y -= states
+    z = np.add.reduceat((b * y)[edge_order], edge_starts, axis=0)[ps.pair_e]
+    z *= 2.0 * b
+    z -= y
+    return z
 
 
 def apply_walk(walk: WalkOperator, psi: StateVector) -> StateVector:
-    """One walk step on a state, always through the factored form."""
+    """One walk step on a state."""
     if psi.amplitudes.size != walk.size:
         raise DimensionMismatchError(
             f"state has {psi.amplitudes.size} amplitudes, walk space has {walk.size}"
         )
-    return StateVector(_apply_factored(walk.isometries, psi.amplitudes))
+    return StateVector(walk_action(walk.isometries, psi.amplitudes))
 
 
 def evolve(walk: WalkOperator, psi0: StateVector, steps: int, keep_all: bool = False):
@@ -208,20 +212,25 @@ def evolve(walk: WalkOperator, psi0: StateVector, steps: int, keep_all: bool = F
 
 def basis_pair_state(ps: PairSpace, v: int, e: int) -> StateVector:
     """Computational basis state at the incident pair (v, e)."""
-    key = (int(v), int(e))
-    if key not in ps.index_of:
+    v, e = int(v), int(e)
+    found = False
+    if 0 <= v < ps.n and 0 <= e < ps.m:
+        lo, hi = np.searchsorted(ps.pair_v, [v, v + 1])
+        index = lo + int(np.searchsorted(ps.pair_e[lo:hi], e))
+        found = index < hi and ps.pair_e[index] == e
+    if not found:
         raise ValueError(f"({v}, {e}) is not an incident (vertex, hyperedge) pair")
     amps = np.zeros(ps.size, dtype=np.complex128)
-    amps[ps.index_of[key]] = 1.0
+    amps[index] = 1.0
     return StateVector(amps)
 
 
 def vertex_superposition(iso: IsometryPair, v: int) -> StateVector:
     """The unit state anchored at vertex v: column v of the vertex isometry."""
-    n = iso.vertex_isometry.shape[1]
-    if not 0 <= v < n:
-        raise ValueError(f"vertex {v} outside [0, {n})")
-    return StateVector(iso.vertex_isometry[:, v].astype(np.complex128))
+    ps = iso.pair_space
+    if not 0 <= v < ps.n:
+        raise ValueError(f"vertex {v} outside [0, {ps.n})")
+    return StateVector(np.where(ps.pair_v == v, iso.vertex_weights, 0.0))
 
 
 def vertex_distribution(ps: PairSpace, psi: StateVector) -> Distribution:

@@ -33,18 +33,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import TransitionSystem, build_transitions
-from .errors import (
-    CountMismatchError,
-    DimensionTooLargeError,
-    InvalidToleranceError,
-)
-from .hypergraph import Hypergraph, degree_profile
+from .errors import CountMismatchError, InvalidToleranceError
+from .hypergraph import Hypergraph, degree_profile, scatter
 from .operators import (
     IsometryPair,
     WalkOperator,
     build_isometries,
     build_pair_space,
     build_walk,
+    dense_cap,
     walk_action,
 )
 
@@ -163,8 +160,9 @@ class SpectralReport:
 
 
 def discriminant(ts: TransitionSystem) -> Discriminant:
-    """Entrywise sqrt(p_ve * p_ev)."""
-    return Discriminant(np.sqrt(ts.vertex_to_edge * ts.edge_to_vertex.T))
+    """sqrt(p_ve * p_ev) at each incident pair (v, e), zero elsewhere."""
+    hg = ts.hypergraph
+    return Discriminant(scatter((hg.n, hg.m), hg.pair_v, hg.pair_e, np.sqrt(ts.p_ve * ts.p_ev)))
 
 
 def full_svd(disc: Discriminant) -> SvdResult:
@@ -191,17 +189,16 @@ def predict_spectrum(
 
     With with_vectors=True (the default) every predicted eigenvalue comes
     with a unit eigenvector, including an orthonormal basis for the +1
-    complement, and factored-walk residuals are computed for all of them.
+    complement, and walk_action residuals are computed for all of them.
     """
     tol = _check_tolerance(tol)
-    a = iso.vertex_isometry
-    b = iso.edge_isometry
-    size, n = a.shape
-    m = b.shape[1]
+    ps = iso.pair_space
+    size, n, m = ps.size, ps.n, ps.m
     sigma = svd.singular_values
     tags = classify_singular_values(sigma, tol)
-    a_mu = a @ svd.left_vectors
-    b_nu = b @ svd.right_vectors
+    # A and B have one nonzero per row, so A U and B V are row gathers.
+    a_mu = iso.vertex_weights[:, None] * svd.left_vectors[ps.pair_v]
+    b_nu = iso.edge_weights[:, None] * svd.right_vectors[ps.pair_e]
 
     values: list[complex] = []
     vectors: list[np.ndarray] = []
@@ -246,7 +243,8 @@ def predict_spectrum(
     joint_rank = n + m - n_unit
     complement_dim = size - joint_rank
     if with_vectors and complement_dim > 0:
-        basis, _, _ = np.linalg.svd(np.hstack((a, b)), full_matrices=True)
+        joint = np.hstack((iso.vertex_isometry, iso.edge_isometry))
+        basis, _, _ = np.linalg.svd(joint, full_matrices=True)
         for idx in range(joint_rank, size):
             emit(1.0 + 0.0j, basis[:, idx].astype(np.complex128))
     else:
@@ -271,10 +269,9 @@ def predict_spectrum(
 
 def brute_force_spectrum(walk: WalkOperator) -> BruteForceSpectrum:
     """Independent oracle: general eigendecomposition of the dense walk matrix."""
-    if walk.dense is None:
-        raise DimensionTooLargeError("walk has no dense matrix; rebuild with materialize=True")
-    values, vectors = np.linalg.eig(walk.dense)
-    residual = np.linalg.norm(walk.dense @ vectors - vectors * values[None, :], axis=0).max()
+    dense = walk.dense
+    values, vectors = np.linalg.eig(dense)
+    residual = np.linalg.norm(dense @ vectors - vectors * values[None, :], axis=0).max()
     return BruteForceSpectrum(eigenvalues=values, max_residual=float(residual))
 
 
@@ -345,9 +342,9 @@ def analyze(
     ts = build_transitions(hg)
     ps = build_pair_space(hg)
     iso = build_isometries(hg, ts, ps)
-    walk = build_walk(iso, materialize=None)
+    walk = build_walk(iso)
     svd = full_svd(discriminant(ts))
-    verifiable = walk.dense is not None
+    verifiable = walk.size <= dense_cap()
     prediction = predict_spectrum(svd, iso, tol=classify_tol, with_vectors=verifiable)
     profile = degree_profile(hg)
     if verifiable:

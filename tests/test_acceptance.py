@@ -83,7 +83,7 @@ def test_walk_orthogonality():
             if ps.size > 512:
                 continue
             iso = hw.build_isometries(hg, ts, ps)
-            walk = hw.build_walk(iso, materialize=True)
+            walk = hw.build_walk(iso)
             assert np.abs(walk.dense.T @ walk.dense - np.eye(ps.size)).max() <= 1e-10
 
 
@@ -167,7 +167,7 @@ def test_norm_conservation_long_runs():
             ps = hw.build_pair_space(hg)
             assert ps.size <= 2000
             iso = hw.build_isometries(hg, ts, ps)
-            walk = hw.build_walk(iso, materialize=False)
+            walk = hw.build_walk(iso)
             psi = hw.evolve(walk, random_state(ps.size, seed=ps.size), 1000)
             assert abs(psi.norm - 1.0) <= 1e-9
 

@@ -94,6 +94,24 @@ def test_stationary_distribution_regular_uniform_is_uniform():
         np.testing.assert_allclose(pi_edge, np.full(hg.m, 1 / hg.m), atol=1e-10)
 
 
+def test_stationary_distribution_closed_form_irregular():
+    # Connected and non-regular: d(v)/N is the fixed point power iteration finds.
+    ts = hw.build_transitions(hw.from_edge_lists(4, [{0, 1, 2}, {2, 3}, {0, 3}]))
+    pi = hw.stationary_distribution(ts, "vertex").probabilities
+    np.testing.assert_allclose(pi, [2 / 7, 1 / 7, 2 / 7, 2 / 7], atol=1e-12)
+    chain = ts.vertex_chain
+    x = np.full(4, 0.25)
+    for _ in range(1000):
+        x = x @ chain
+    np.testing.assert_allclose(x, pi, atol=1e-12)
+    # Disconnected: every component has its own stationary law; the closed
+    # form weights each by its share of the pairs, whatever the start.
+    ts = hw.build_transitions(hw.from_edge_lists(5, [{0, 1}, {1, 2}, {0, 2}, {3, 4}]))
+    pi = hw.stationary_distribution(ts, "vertex").probabilities
+    np.testing.assert_allclose(pi, [0.25, 0.25, 0.25, 0.125, 0.125], atol=1e-12)
+    np.testing.assert_allclose(pi @ ts.vertex_chain, pi, atol=1e-12)
+
+
 def test_stationary_distribution_rejects_unknown_chain():
     ts = hw.build_transitions(triangle())
     with pytest.raises(ValueError):
@@ -163,15 +181,3 @@ def test_trajectory_visit_frequencies_near_stationary():
     path = hw.sample_trajectory(ts, 0, 2000, seed=10)
     visits = np.bincount(path[::2], minlength=3) / (len(path[::2]))
     assert 0.5 * np.abs(visits - 1 / 3).sum() <= 0.05
-
-
-def test_power_iteration_reports_non_convergence():
-    # A hand-built periodic chain whose uniform start oscillates with period
-    # two; hypergraph-derived chains always have self-loops, so this only
-    # arises for foreign input.
-    chain = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]])
-    ts = hw.TransitionSystem(
-        vertex_to_edge=chain, edge_to_vertex=chain, vertex_chain=chain, edge_chain=chain
-    )
-    with pytest.raises(hw.NoConvergenceError):
-        hw.stationary_distribution(ts, "vertex")

@@ -87,6 +87,16 @@ def test_info_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_info_huge_vertex_count_exit_code(tmp_path, capsys):
+    # Every vertex needs a pair, so a count beyond N is rejected before
+    # anything that large is allocated.
+    path = tmp_path / "huge.hg"
+    path.write_text("n 1000000000000000\n0 1\n")
+    assert main(["info", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_info_missing_file_exit_code(tmp_path):
     assert main(["info", str(tmp_path / "absent.hg")]) == 3
 

@@ -1,4 +1,4 @@
-"""Hypergraph construction, degrees, bipartite model, generation, .hg format."""
+"""Hypergraph construction, pair lists, degrees, generation, .hg format."""
 
 import numpy as np
 import pytest
@@ -35,6 +35,8 @@ def test_incidence_is_immutable():
     hg = triangle()
     with pytest.raises(ValueError):
         hg.incidence[0, 0] = 0
+    with pytest.raises(ValueError):
+        hg.pair_v[0] = 1
 
 
 def test_from_edge_lists_rejects_empty_edge():
@@ -85,24 +87,53 @@ def test_degree_sums_agree_exactly():
         assert int(profile.vertex_degrees.sum()) == int(profile.edge_degrees.sum())
 
 
+def bipartite_adjacency(hg):
+    """The (n+m)-square adjacency of the vertex/hyperedge graph, from the pairs."""
+    ab = np.zeros((hg.n + hg.m, hg.n + hg.m), dtype=int)
+    ab[hg.pair_v, hg.n + hg.pair_e] = ab[hg.n + hg.pair_e, hg.pair_v] = 1
+    return ab
+
+
 def test_bipartite_single_edge_layout():
-    model = hw.to_bipartite(single_edge())
+    # The pairs are the edges of the bipartite vertex/hyperedge graph, sorted
+    # by (v, e).
+    model = hw.from_edge_lists(3, [[2, 0, 1]])
+    np.testing.assert_array_equal(model.pair_v, [0, 1, 2])
+    np.testing.assert_array_equal(model.pair_e, [0, 0, 0])
     expected = np.zeros((4, 4), dtype=int)
     for v in range(3):
         expected[v, 3] = expected[3, v] = 1
-    np.testing.assert_array_equal(model.biadjacency, expected)
+    np.testing.assert_array_equal(bipartite_adjacency(model), expected)
 
 
 def test_bipartite_structure_properties():
     for hg in [triangle(), six_by_four()] + random_instances(8, seed=6):
-        model = hw.to_bipartite(hg)
         profile = hw.degree_profile(hg)
-        ab = model.biadjacency
+        rows, cols = np.nonzero(hg.incidence)
+        np.testing.assert_array_equal(hg.pair_v, rows)
+        np.testing.assert_array_equal(hg.pair_e, cols)
+        assert hg.pair_v.dtype == hg.pair_e.dtype == np.int64
+        np.testing.assert_array_equal(np.bincount(hg.pair_v), profile.vertex_degrees)
+        np.testing.assert_array_equal(np.bincount(hg.pair_e), profile.edge_degrees)
+        ab = bipartite_adjacency(hg)
         np.testing.assert_array_equal(ab, ab.T)
         assert ab[: hg.n, : hg.n].sum() == 0 and ab[hg.n :, hg.n :].sum() == 0
         assert ab.sum() == 2 * profile.vertex_degrees.sum()
         np.testing.assert_array_equal(ab[: hg.n].sum(axis=1), profile.vertex_degrees)
         np.testing.assert_array_equal(ab[hg.n :].sum(axis=1), profile.edge_degrees)
+
+
+def test_constructor_sorts_and_validates_pairs():
+    hg = hw.Hypergraph(3, 2, [2, 0, 1, 0], [1, 1, 0, 0])
+    assert hg.pair_v.tolist() == [0, 0, 1, 2] and hg.pair_e.tolist() == [0, 1, 0, 1]
+    with pytest.raises(hw.IndexOutOfRangeError):
+        hw.Hypergraph(2, 1, [0, 2], [0, 0])
+    with pytest.raises(ValueError):
+        hw.Hypergraph(2, 1, [0, 1, 0], [0, 0, 0])
+    with pytest.raises(hw.EmptyEdgeError):
+        hw.Hypergraph(2, 2, [0, 1], [1, 1])
+    with pytest.raises(hw.IsolatedVertexError):
+        hw.Hypergraph(10**15, 1, [0, 1], [0, 0])
 
 
 def test_generator_hits_requested_degrees():
@@ -189,3 +220,28 @@ def test_is_connected():
     assert hw.is_connected(triangle())
     disjoint = hw.from_edge_lists(4, [{0, 1}, {2, 3}])
     assert not hw.is_connected(disjoint)
+
+
+def breadth_first_connected(n, edges):
+    """Reference: plain search over vertices that share a hyperedge."""
+    seen, stack = {0}, [0]
+    while stack:
+        v = stack.pop()
+        for u in {u for edge in edges if v in edge for u in edge} - seen:
+            seen.add(u)
+            stack.append(u)
+    return len(seen) == n
+
+
+def test_is_connected_matches_breadth_first_search():
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        sizes = rng.integers(1, 4, size=n // 2 + 1)
+        edges = [set(rng.integers(0, n, size=int(size)).tolist()) for size in sizes]
+        edges.append(set(range(n)) - set().union(*edges) or {0})
+        assert hw.is_connected(hw.from_edge_lists(n, edges)) == breadth_first_connected(n, edges)
+    n = 5000
+    path = [{v, v + 1} for v in reversed(range(n - 1))]
+    assert hw.is_connected(hw.from_edge_lists(n, path))
+    assert not hw.is_connected(hw.from_edge_lists(n, path[:1000] + path[1001:]))

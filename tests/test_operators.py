@@ -7,11 +7,11 @@ import hyperwalk as hw
 from conftest import battery, random_instances, random_state, single_edge, six_by_four, triangle
 
 
-def pipeline(hg, materialize=None):
+def pipeline(hg):
     ts = hw.build_transitions(hg)
     ps = hw.build_pair_space(hg)
     iso = hw.build_isometries(hg, ts, ps)
-    return ts, ps, iso, hw.build_walk(iso, materialize=materialize)
+    return ts, ps, iso, hw.build_walk(iso)
 
 
 def test_pair_space_single_edge():
@@ -31,9 +31,9 @@ def test_pair_space_index_is_bijection():
         ps = hw.build_pair_space(hg)
         profile = hw.degree_profile(hg)
         assert ps.size == int(profile.vertex_degrees.sum()) == int(profile.edge_degrees.sum())
-        assert sorted(ps.index_of.values()) == list(range(ps.size))
-        for (v, e), i in ps.index_of.items():
-            assert (ps.pair_v[i], ps.pair_e[i]) == (v, e)
+        for i, (v, e) in enumerate(ps.pairs):
+            amps = hw.basis_pair_state(ps, v, e).amplitudes
+            assert np.flatnonzero(amps).tolist() == [i]
 
 
 def test_pair_space_six_by_four_dimension():
@@ -115,11 +115,11 @@ def test_dense_matrix_is_product_of_reflections():
 
 def test_dense_cap_controls_materialization(monkeypatch):
     monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
-    _, _, iso, _ = pipeline(triangle(), materialize=False)
+    _, ps, _, walk = pipeline(triangle())
     with pytest.raises(hw.DimensionTooLargeError):
-        hw.build_walk(iso, materialize=True)
-    auto = hw.build_walk(iso)
-    assert auto.dense is None
+        walk.dense
+    out = hw.apply_walk(walk, hw.basis_pair_state(ps, 0, 0))
+    assert abs(out.norm - 1.0) <= 1e-12
 
 
 def test_dense_cap_env_validation(monkeypatch):
@@ -222,8 +222,9 @@ def test_vertex_superposition_matches_isometry_column():
 
 def test_basis_pair_state_rejects_non_incident_pair():
     ps = hw.build_pair_space(triangle())
-    with pytest.raises(ValueError):
-        hw.basis_pair_state(ps, 0, 1)
+    for v, e in [(0, 1), (3, 0), (0, 3), (-1, 0), (0, -1), (2**70, 0)]:
+        with pytest.raises(ValueError):
+            hw.basis_pair_state(ps, v, e)
 
 
 def test_vertex_distribution_single_edge_after_step():

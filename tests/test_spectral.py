@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from conftest import battery, random_instances, single_edge, six_by_four, triangle
+from conftest import battery, random_instances, random_state, single_edge, six_by_four, triangle
 
 
 def pipeline(hg):
@@ -15,13 +15,6 @@ def pipeline(hg):
     ps = hw.build_pair_space(hg)
     iso = hw.build_isometries(hg, ts, ps)
     return ts, ps, iso, hw.build_walk(iso)
-
-
-def random_isometries(rng, size, n, m):
-    """Synthetic isometry pair from QR factors; generically all angles interior."""
-    a = np.linalg.qr(rng.standard_normal((size, n)))[0]
-    b = np.linalg.qr(rng.standard_normal((size, m)))[0]
-    return hw.IsometryPair(a, b, None)
 
 
 def test_discriminant_single_edge():
@@ -196,11 +189,9 @@ def test_brute_force_spectrum_pins():
     assert ones == 2
 
 
-def test_brute_force_requires_dense():
-    ts = hw.build_transitions(triangle())
-    ps = hw.build_pair_space(triangle())
-    iso = hw.build_isometries(triangle(), ts, ps)
-    walk = hw.build_walk(iso, materialize=False)
+def test_brute_force_requires_dense(monkeypatch):
+    monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
+    _, _, _, walk = pipeline(triangle())
     with pytest.raises(hw.DimensionTooLargeError):
         hw.brute_force_spectrum(walk)
 
@@ -222,44 +213,57 @@ def test_pairing_count_mismatch():
         hw.pairing_distance(np.ones(3, dtype=complex), np.ones(2, dtype=complex))
 
 
-def test_generic_counts_with_synthetic_isometries():
-    # Random subspaces have no unit or null principal angles, so the generic
-    # count rule is exactly: 2m conjugate pairs, n-m at -1, N-(n+m) at +1.
-    rng = np.random.default_rng(77)
-    size, n, m = 24, 7, 4
-    iso = random_isometries(rng, size, n, m)
-    disc = hw.Discriminant(iso.vertex_isometry.T @ iso.edge_isometry)
-    svd = hw.full_svd(disc)
-    pred = hw.predict_spectrum(svd, iso)
-    assert set(pred.classification) == {"interior"}
+def assert_count_rule(hg):
+    """complex = 2 #interior, -1 = |n-m| + 2 #null, +1 = N-n-m + 2 #unit, against eig."""
+    ts, ps, iso, _ = pipeline(hg)
+    pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), iso)
+    tags = pred.classification
     complex_count = int(np.sum(np.abs(pred.eigenvalues.imag) > 1e-9))
     minus = int(np.sum(np.abs(pred.eigenvalues + 1.0) < 1e-9))
     plus = int(np.sum(np.abs(pred.eigenvalues - 1.0) < 1e-9))
-    assert (complex_count, minus, plus) == (2 * m, n - m, size - (n + m))
-    eye = np.eye(size)
+    assert complex_count == 2 * tags.count("interior")
+    assert minus == abs(hg.n - hg.m) + 2 * tags.count("null")
+    assert plus == ps.size - hg.n - hg.m + 2 * tags.count("unit")
+    eye = np.eye(ps.size)
     reflect_v = 2 * (iso.vertex_isometry @ iso.vertex_isometry.T) - eye
     reflect_e = 2 * (iso.edge_isometry @ iso.edge_isometry.T) - eye
     oracle = np.linalg.eigvals(reflect_e @ reflect_v)
     assert hw.pairing_distance(pred.eigenvalues, oracle) <= 1e-8
     assert pred.max_residual <= 1e-8
+
+
+def test_generic_counts_with_synthetic_isometries():
+    # More vertices than hyperedges: the unpaired -1 block sits on the vertex side.
+    assert_count_rule(six_by_four())
 
 
 def test_generic_counts_synthetic_wide_case():
     # More hyperedges than vertices: the unpaired -1 block sits on the edge side.
-    rng = np.random.default_rng(78)
-    size, n, m = 20, 4, 6
-    iso = random_isometries(rng, size, n, m)
-    disc = hw.Discriminant(iso.vertex_isometry.T @ iso.edge_isometry)
-    pred = hw.predict_spectrum(hw.full_svd(disc), iso)
-    minus = int(np.sum(np.abs(pred.eigenvalues + 1.0) < 1e-9))
-    plus = int(np.sum(np.abs(pred.eigenvalues - 1.0) < 1e-9))
-    assert (minus, plus) == (m - n, size - (n + m))
-    eye = np.eye(size)
-    reflect_v = 2 * (iso.vertex_isometry @ iso.vertex_isometry.T) - eye
-    reflect_e = 2 * (iso.edge_isometry @ iso.edge_isometry.T) - eye
-    oracle = np.linalg.eigvals(reflect_e @ reflect_v)
-    assert hw.pairing_distance(pred.eigenvalues, oracle) <= 1e-8
-    assert pred.max_residual <= 1e-8
+    assert_count_rule(hw.random_regular_uniform(4, 8, 2, 4, seed=46))
+
+
+@pytest.mark.parametrize(
+    "n, edges, units",
+    [
+        pytest.param(4, [{0, 1, 2}, {2, 3}, {0, 3}], 1, id="non-regular"),
+        pytest.param(5, [{0, 1}, {1, 2}, {0, 2}, {3, 4}], 2, id="disconnected"),
+        pytest.param(3, [{0, 1, 2}, {0, 1, 2}, {1, 2}], 1, id="repeated-edges"),
+        pytest.param(3, [{0}, {0, 1, 2}, {2}], 1, id="singleton-edges"),
+        pytest.param(1, [{0}], 1, id="one-vertex"),
+        pytest.param(1, [{0}, {0}], 1, id="one-vertex-two-edges"),
+    ],
+)
+def test_irregular_instances(n, edges, units):
+    # Outside the regular uniform family the isometry weights differ from
+    # pair to pair, so a pair indexed by the wrong degree shows up here.
+    hg = hw.from_edge_lists(n, edges)
+    report = hw.analyze(hg)
+    assert report.verdict == "pass"
+    assert report.classification.count("unit") == units
+    assert sum(entry["multiplicity"] for entry in report.to_json_dict()["predicted"]) == report.size
+    _, ps, _, walk = pipeline(hg)
+    psi = random_state(ps.size, seed=ps.size)
+    assert np.abs(hw.apply_walk(walk, psi).amplitudes - walk.dense @ psi.amplitudes).max() <= 1e-12
 
 
 def test_analyze_passes_on_random_instances():
