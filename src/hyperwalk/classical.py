@@ -9,12 +9,13 @@ products, the vertex chain and the dual edge chain, are views of these.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .hypergraph import Hypergraph, degree_profile, scatter
+from .hypergraph import Hypergraph, degree_profile, pair_segments, scatter
 
 # Hard bound is loose (1e-9): marginals of long evolutions legitimately
 # drift past the 1e-12 a freshly built distribution satisfies.
@@ -118,26 +119,51 @@ def classical_step(ts: TransitionSystem, dist: Distribution) -> Distribution:
     return Distribution(np.bincount(hg.pair_v, weights=flow_ev, minlength=ts.n))
 
 
+def _segment_cumsum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running sums that restart at each of starts[:-1] (starts[-1] is the end).
+
+    The additions happen in the same order as np.cumsum on each segment,
+    so the sums are bit-identical to it.
+    """
+    offsets = np.arange(values.size) - np.repeat(starts[:-1], np.diff(starts))
+    order = np.argsort(offsets, kind="stable")
+    bounds = np.searchsorted(offsets[order], np.arange(1, offsets.max(initial=0) + 2))
+    cum = values.copy()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        at = order[lo:hi]
+        cum[at] = cum[at - 1] + values[at]
+    return cum
+
+
 def sample_trajectory(ts: TransitionSystem, start_vertex: int, steps: int, seed: int = 0) -> list[int]:
     """Sample v0, e0, v1, e1, ..., v_steps as alternating vertex/edge indices.
 
-    Each hyperedge is drawn from the current vertex's row of vertex_to_edge
-    and each next vertex from that hyperedge's row of edge_to_vertex.
-    Deterministic for a fixed seed; length is 2*steps + 1.
+    Each hyperedge is drawn from the current vertex's pairs with weights
+    p_ve, and each next vertex from that hyperedge's pairs with weights
+    p_ev: a uniform draw is located in the segment's running sum, and a draw
+    past its rounded total takes the segment's last pair. Deterministic for
+    a fixed seed; length is 2*steps + 1.
     """
     if not 0 <= start_vertex < ts.n:
         raise DimensionMismatchError(f"start vertex {start_vertex} outside [0, {ts.n})")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    rng = np.random.default_rng(seed)
-    cum_ve = np.cumsum(ts.vertex_to_edge, axis=1)
-    cum_ev = np.cumsum(ts.edge_to_vertex, axis=1)
-    draws = rng.random(2 * steps)
+    hg = ts.hypergraph
+    vertex_starts, edge_order, edge_starts = pair_segments(hg.n, hg.m, hg.pair_v, hg.pair_e)
+    vertex_starts = np.append(vertex_starts, edge_order.size)
+    edge_starts = np.append(edge_starts, edge_order.size)
+    cum_ve = _segment_cumsum(ts.p_ve, vertex_starts).tolist()
+    cum_ev = _segment_cumsum(ts.p_ev[edge_order], edge_starts).tolist()
+    edge_of, vertex_of = hg.pair_e.tolist(), hg.pair_v[edge_order].tolist()
+    vertex_starts, edge_starts = vertex_starts.tolist(), edge_starts.tolist()
+    draws = np.random.default_rng(seed).random(2 * steps).tolist()
     path = [start_vertex]
     v = start_vertex
     for i in range(steps):
-        e = min(int(np.searchsorted(cum_ve[v], draws[2 * i], side="right")), ts.m - 1)
-        v = min(int(np.searchsorted(cum_ev[e], draws[2 * i + 1], side="right")), ts.n - 1)
+        lo, hi = vertex_starts[v], vertex_starts[v + 1]
+        e = edge_of[min(bisect_right(cum_ve, draws[2 * i], lo, hi), hi - 1)]
+        lo, hi = edge_starts[e], edge_starts[e + 1]
+        v = vertex_of[min(bisect_right(cum_ev, draws[2 * i + 1], lo, hi), hi - 1)]
         path.append(e)
         path.append(v)
     return path

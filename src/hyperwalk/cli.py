@@ -81,29 +81,36 @@ def _positive(text: str) -> int:
     return value
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write_lines(out: str | None, pieces) -> None:
+    """Write text pieces, in order, to stdout (out None or "-") or to the file out."""
     if out in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as handle:
+            handle.writelines(pieces)
+
+
+def _write_text(out: str | None, text: str) -> None:
+    _write_lines(out, (text,))
 
 
 def _read_hypergraph(path: str):
     return parse(Path(path).read_text())
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _series_text(rows: list[tuple[int, np.ndarray]], n: int, fmt: str) -> str:
+def _series_lines(rows: list[tuple[int, np.ndarray]], n: int, fmt: str):
+    """The series as text pieces: one JSON document, or one CSV line at a time,
+    each formatted only when the writer asks for it."""
     columns = ["t"] + [f"v{i}" for i in range(n)]
     if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join([str(t)] + [_fmt(p) for p in probs]) for t, probs in rows]
-        return "\n".join(lines) + "\n"
-    payload = {"columns": columns, "rows": [[t] + [float(p) for p in probs] for t, probs in rows]}
-    return json.dumps(payload, indent=2) + "\n"
+        yield ",".join(columns) + "\n"
+        # "%.17g" % x on the row's Python floats writes the same digits as
+        # f"{x:.17g}" on numpy scalars, in about half the time.
+        for t, probs in rows:
+            yield f"{t}," + ",".join(map("%.17g".__mod__, probs.tolist())) + "\n"
+        return
+    payload = {"columns": columns, "rows": [[t] + probs.tolist() for t, probs in rows]}
+    yield json.dumps(payload, indent=2) + "\n"
 
 
 def _parse_start(spec: str, ps, iso):
@@ -180,7 +187,7 @@ def _cmd_classical(args) -> int:
     for t in range(1, args.steps + 1):
         dist = classical_step(ts, dist)
         rows.append((t, dist.probabilities))
-    _write_text(args.out, _series_text(rows, hg.n, args.format))
+    _write_lines(args.out, _series_lines(rows, hg.n, args.format))
     return 0
 
 
@@ -195,7 +202,7 @@ def _cmd_evolve(args) -> int:
     for t in range(1, args.steps + 1):
         psi = apply_walk(walk, psi)
         rows.append((t, vertex_distribution(ps, psi).probabilities))
-    _write_text(args.out, _series_text(rows, hg.n, args.format))
+    _write_lines(args.out, _series_lines(rows, hg.n, args.format))
     return 0
 
 

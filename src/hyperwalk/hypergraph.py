@@ -37,6 +37,17 @@ def scatter(shape: tuple[int, int], rows, cols, values) -> np.ndarray:
     return out
 
 
+def pair_segments(
+    n: int, m: int, pair_v: np.ndarray, pair_e: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vertex_starts, edge_order, edge_starts) of pairs sorted by (v, e): where each
+    vertex's pairs start, the pair indices hyperedge by hyperedge, and where each
+    hyperedge starts there."""
+    edge_order = np.argsort(pair_e, kind="stable")
+    edge_starts = np.searchsorted(pair_e[edge_order], np.arange(m))
+    return np.searchsorted(pair_v, np.arange(n)), edge_order, edge_starts
+
+
 def _first_absent(index: np.ndarray, count: int) -> int | None:
     """Smallest id in [0, count) missing from index, or None; count sizes no array."""
     present = np.unique(index)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .classical import Distribution, TransitionSystem
 from .errors import DimensionMismatchError, DimensionTooLargeError
-from .hypergraph import Hypergraph, scatter
+from .hypergraph import Hypergraph, pair_segments, scatter
 
 DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
 DEFAULT_DENSE_CAP = 4096
@@ -70,11 +70,8 @@ class PairSpace:
 
     @cached_property
     def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(vertex_starts, edge_order, edge_starts): where each vertex's pairs start,
-        the pair indices hyperedge by hyperedge, and where each hyperedge starts there."""
-        edge_order = np.argsort(self.pair_e, kind="stable")
-        edge_starts = np.searchsorted(self.pair_e[edge_order], np.arange(self.m))
-        return np.searchsorted(self.pair_v, np.arange(self.n)), edge_order, edge_starts
+        """(vertex_starts, edge_order, edge_starts), as hypergraph.pair_segments."""
+        return pair_segments(self.n, self.m, self.pair_v, self.pair_e)
 
 
 @dataclass(frozen=True)

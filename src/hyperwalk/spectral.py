@@ -20,9 +20,24 @@ follows from the singular values alone:
   * the orthogonal complement of both reflection subspaces: eigenvalue +1,
     with dimension N - (n + m - #unit).
 
+The complement is the cycle space of the bipartite incidence graph (pairs
+as its edges). Since sqrt(p_ve) is constant over a vertex's pairs, x is
+orthogonal to the range of A exactly when its entries sum to 0 over every
+vertex's pairs, and likewise for B over every hyperedge's pairs: a signed
+cycle that steps +1 along each pair it crosses vertex -> hyperedge and -1
+along each pair it crosses hyperedge -> vertex has exactly these zero sums.
+The fundamental cycles of a breadth-first spanning forest form a basis of
+dimension N - n - m + c, with c the number of connected components, which
+is N - (n + m - #unit) when the unit tags are the c exact unit singular
+values. A classification that disagrees with c still yields N eigenvalues:
+with fewer unit tags the first N - n - m + #unit cycles are used, and each
+surplus unit tag also contributes B nu as a +1 vector, whose residual then
+shows the misclassification.
+
 Multiplicities always total N, whatever the classification. Verification
-pairs the predicted multiset against a brute-force eigendecomposition of the
-dense walk matrix and checks every predicted eigenvector's residual.
+pairs the predicted multiset against the eigenvalues of the dense walk
+matrix (no eigenvectors are computed there) and checks every predicted
+eigenvector's walk_action residual.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ from .errors import CountMismatchError, InvalidToleranceError
 from .hypergraph import Hypergraph, degree_profile, scatter
 from .operators import (
     IsometryPair,
+    PairSpace,
     WalkOperator,
     build_isometries,
     build_pair_space,
@@ -50,6 +66,7 @@ VERIFY_TOL_DEFAULT = 1e-8
 TOL_CEILING = 1e-3
 _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
+_RESIDUAL_BLOCK = 128
 
 
 def _check_tolerance(tol: float) -> float:
@@ -98,10 +115,9 @@ class SpectrumPrediction:
 
 @dataclass(frozen=True)
 class BruteForceSpectrum:
-    """Eigenvalues of the dense walk matrix, with the solver's own residual."""
+    """Eigenvalues of the dense walk matrix."""
 
     eigenvalues: np.ndarray
-    max_residual: float
 
 
 @dataclass(frozen=True)
@@ -179,6 +195,67 @@ def classify_singular_values(sigma: np.ndarray, tol: float) -> tuple[str, ...]:
     )
 
 
+def cycle_basis(ps: PairSpace) -> np.ndarray:
+    """Signed fundamental cycles of a breadth-first spanning forest, one per column.
+
+    The incidence graph has a node per vertex and per hyperedge and an edge
+    per pair. Every pair left out of the forest closes one cycle with the
+    forest path between its ends; the column holds +1 at each pair that
+    cycle crosses vertex -> hyperedge and -1 at each pair it crosses
+    hyperedge -> vertex, so it sums to 0 over every vertex's and every
+    hyperedge's pairs. The N x (N - n - m + c) result spans the walk's +1
+    complement; columns follow the order of their closing pairs.
+    """
+    n, size = ps.n, ps.size
+    vertex_starts, edge_order, edge_starts = ps.segments
+    pair_v, pair_e, edge_pairs = ps.pair_v.tolist(), ps.pair_e.tolist(), edge_order.tolist()
+    vertex_bounds = vertex_starts.tolist() + [size]
+    edge_bounds = edge_starts.tolist() + [size]
+    # Nodes 0..n-1 are vertices and n..n+m-1 hyperedges; up[x] is the pair
+    # from x to its parent (-1 at a root, which the climb below never leaves).
+    up = [-1] * (n + ps.m)
+    depth = [-1] * (n + ps.m)
+    in_forest = np.zeros(size, dtype=bool)
+    for root in range(n):
+        if depth[root] >= 0:
+            continue
+        depth[root] = 0
+        queue = [root]
+        for x in queue:
+            if x < n:
+                steps = [(p, n + pair_e[p]) for p in range(vertex_bounds[x], vertex_bounds[x + 1])]
+            else:
+                e = x - n
+                steps = [(p, pair_v[p]) for p in edge_pairs[edge_bounds[e]:edge_bounds[e + 1]]]
+            for p, y in steps:
+                if depth[y] < 0:
+                    depth[y], up[y] = depth[x] + 1, p
+                    in_forest[p] = True
+                    queue.append(y)
+    up, depth = np.asarray(up), np.asarray(depth)
+    is_vertex = np.arange(n + ps.m) < n
+    parent = np.where(is_vertex, n + ps.pair_e[up], ps.pair_v[up])
+    closing = np.flatnonzero(~in_forest)
+    basis = np.zeros((size, closing.size))
+    columns = np.arange(closing.size)
+    basis[closing, columns] = 1.0
+    # Climb from both ends of each closing pair to their common ancestor.
+    # The cycle runs v -> e over the closing pair and returns to v through
+    # the forest, so it crosses the pairs climbed from the e end in the
+    # climbing direction (+1 when climbing away from a vertex) and those
+    # climbed from the v end against it (-1 when climbing away from a vertex).
+    x, y = ps.pair_v[closing], n + ps.pair_e[closing]
+    while columns.size:
+        from_x, from_y = depth[x] >= depth[y], depth[y] >= depth[x]
+        basis[up[x[from_x]], columns[from_x]] = np.where(is_vertex[x[from_x]], -1.0, 1.0)
+        basis[up[y[from_y]], columns[from_y]] = np.where(is_vertex[y[from_y]], 1.0, -1.0)
+        x = np.where(from_x, parent[x], x)
+        y = np.where(from_y, parent[y], y)
+        open_ = x != y
+        x, y, columns = x[open_], y[open_], columns[open_]
+    return basis
+
+
 def predict_spectrum(
     svd: SvdResult,
     iso: IsometryPair,
@@ -188,40 +265,46 @@ def predict_spectrum(
     """Assemble the predicted eigensystem of the walk from the discriminant's SVD.
 
     With with_vectors=True (the default) every predicted eigenvalue comes
-    with a unit eigenvector, including an orthonormal basis for the +1
-    complement, and walk_action residuals are computed for all of them.
+    with a unit eigenvector, the +1 complement spanned by normalised
+    fundamental cycles (see cycle_basis), and walk_action residuals are
+    computed for all of them. With with_vectors=False only the eigenvalues
+    are assembled, from the tags alone.
     """
     tol = _check_tolerance(tol)
     ps = iso.pair_space
     size, n, m = ps.size, ps.n, ps.m
     sigma = svd.singular_values
     tags = classify_singular_values(sigma, tol)
-    # A and B have one nonzero per row, so A U and B V are row gathers.
-    a_mu = iso.vertex_weights[:, None] * svd.left_vectors[ps.pair_v]
-    b_nu = iso.edge_weights[:, None] * svd.right_vectors[ps.pair_e]
+    if with_vectors:
+        # A and B have one nonzero per row, so A U and B V are row gathers.
+        a_mu = iso.vertex_weights[:, None] * svd.left_vectors[ps.pair_v]
+        b_nu = iso.edge_weights[:, None] * svd.right_vectors[ps.pair_e]
 
     values: list[complex] = []
     vectors: list[np.ndarray] = []
     notes: list[str] = []
 
-    def emit(value, vector=None):
+    def emit(value, vector):
+        """Record an eigenvalue; vector() builds its eigenvector only when asked for."""
         values.append(value)
         if with_vectors:
-            vectors.append(vector)
+            vectors.append(vector())
 
     for idx, (s, tag) in enumerate(zip(sigma, tags)):
         if tag == "unit":
-            emit(1.0 + 0.0j, a_mu[:, idx].astype(np.complex128))
+            emit(1.0 + 0.0j, lambda: a_mu[:, idx])
         elif tag == "null":
-            emit(-1.0 + 0.0j, a_mu[:, idx].astype(np.complex128))
-            emit(-1.0 + 0.0j, b_nu[:, idx].astype(np.complex128))
+            emit(-1.0 + 0.0j, lambda: a_mu[:, idx])
+            emit(-1.0 + 0.0j, lambda: b_nu[:, idx])
         else:
             theta = np.arccos(np.clip(s, 0.0, 1.0))
             scale = np.sqrt(2.0) * np.sin(theta)
             for sign in (+1.0, -1.0):
                 phase = np.exp(sign * 1j * theta)
-                vec = (a_mu[:, idx] - phase * b_nu[:, idx]) / scale if with_vectors else None
-                emit(np.exp(sign * 2j * theta), vec)
+                emit(
+                    np.exp(sign * 2j * theta),
+                    lambda: (a_mu[:, idx] - phase * b_nu[:, idx]) / scale,
+                )
     if "null" in tags:
         notes.append(
             "null singular values present: each assigned two -1 eigenvalues "
@@ -231,22 +314,27 @@ def predict_spectrum(
     # Unpaired singular directions on the larger side all map to -1.
     if n > m:
         for idx in range(m, n):
-            emit(-1.0 + 0.0j, a_mu[:, idx].astype(np.complex128))
+            emit(-1.0 + 0.0j, lambda: a_mu[:, idx])
         notes.append(f"{n - m} unpaired vertex-side directions assigned eigenvalue -1")
     elif m > n:
         for idx in range(n, m):
-            emit(-1.0 + 0.0j, b_nu[:, idx].astype(np.complex128))
+            emit(-1.0 + 0.0j, lambda: b_nu[:, idx])
         notes.append(f"{m - n} unpaired edge-side directions assigned eigenvalue -1")
 
     # Everything orthogonal to both isometry ranges is fixed by the walk.
     n_unit = tags.count("unit")
-    joint_rank = n + m - n_unit
-    complement_dim = size - joint_rank
-    if with_vectors and complement_dim > 0:
-        joint = np.hstack((iso.vertex_isometry, iso.edge_isometry))
-        basis, _, _ = np.linalg.svd(joint, full_matrices=True)
-        for idx in range(joint_rank, size):
-            emit(1.0 + 0.0j, basis[:, idx].astype(np.complex128))
+    complement_dim = size - (n + m - n_unit)
+    if with_vectors:
+        cycles = cycle_basis(ps)
+        components = cycles.shape[1] - (size - n - m)
+        cycles = cycles[:, : max(complement_dim, 0)]
+        vectors.extend((cycles / np.sqrt(np.abs(cycles).sum(axis=0))).T)
+        values.extend([1.0 + 0.0j] * cycles.shape[1])
+        # Unit tags beyond the c exact unit singular values stand in for
+        # cycles that do not exist. B nu fills each, and its residual is
+        # nonzero unless sigma really is 1.
+        for idx in range(components, n_unit):
+            emit(1.0 + 0.0j, lambda: b_nu[:, idx])
     else:
         values.extend([1.0 + 0.0j] * complement_dim)
 
@@ -254,10 +342,13 @@ def predict_spectrum(
     eigenvectors = None
     residuals = None
     if with_vectors:
-        eigenvectors = np.column_stack(vectors) if vectors else np.zeros((size, 0), complex)
-        residuals = np.linalg.norm(
-            walk_action(iso, eigenvectors) - eigenvectors * eigenvalues[None, :], axis=0
-        )
+        eigenvectors = np.column_stack(vectors).astype(np.complex128, copy=False)
+        residuals = np.empty(eigenvalues.size)
+        # Column blocks keep the walk_action temporaries small.
+        for j in range(0, eigenvalues.size, _RESIDUAL_BLOCK):
+            block = slice(j, j + _RESIDUAL_BLOCK)
+            x = eigenvectors[:, block]
+            residuals[block] = np.linalg.norm(walk_action(iso, x) - x * eigenvalues[block], axis=0)
     return SpectrumPrediction(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
@@ -268,11 +359,8 @@ def predict_spectrum(
 
 
 def brute_force_spectrum(walk: WalkOperator) -> BruteForceSpectrum:
-    """Independent oracle: general eigendecomposition of the dense walk matrix."""
-    dense = walk.dense
-    values, vectors = np.linalg.eig(dense)
-    residual = np.linalg.norm(dense @ vectors - vectors * values[None, :], axis=0).max()
-    return BruteForceSpectrum(eigenvalues=values, max_residual=float(residual))
+    """Independent oracle: the eigenvalues of the dense walk matrix."""
+    return BruteForceSpectrum(eigenvalues=np.linalg.eigvals(walk.dense))
 
 
 def _circle_sort(values: np.ndarray) -> np.ndarray:
@@ -345,10 +433,12 @@ def analyze(
     walk = build_walk(iso)
     svd = full_svd(discriminant(ts))
     verifiable = walk.size <= dense_cap()
+    # The oracle runs first, so its dense matrices are freed before the
+    # predicted eigenvectors are built.
+    actual = brute_force_spectrum(walk) if verifiable else None
     prediction = predict_spectrum(svd, iso, tol=classify_tol, with_vectors=verifiable)
     profile = degree_profile(hg)
     if verifiable:
-        actual = brute_force_spectrum(walk)
         verdict = verify(prediction, actual, tol=verify_tol)
         actual_values = actual.eigenvalues
         verdict_label = "pass" if verdict.passed else "fail"

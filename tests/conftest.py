@@ -22,6 +22,11 @@ def six_by_four() -> hw.Hypergraph:
     return hw.from_edge_lists(6, [{0, 1, 2}, {3, 4, 5}, {0, 1, 3}, {2, 4, 5}])
 
 
+def cycle(n: int) -> hw.Hypergraph:
+    """The n-cycle as a 2-uniform 2-regular hypergraph."""
+    return hw.from_edge_lists(n, [{i, (i + 1) % n} for i in range(n)])
+
+
 def random_instances(count: int, seed: int, max_n: int = 40, max_pairs: int = 256):
     """Seeded regular uniform instances drawn over the feasible parameter grid."""
     rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
+from hyperwalk.classical import _segment_cumsum
 from conftest import battery, random_instances, single_edge, six_by_four, triangle
 
 
@@ -181,3 +182,45 @@ def test_trajectory_visit_frequencies_near_stationary():
     path = hw.sample_trajectory(ts, 0, 2000, seed=10)
     visits = np.bincount(path[::2], minlength=3) / (len(path[::2]))
     assert 0.5 * np.abs(visits - 1 / 3).sum() <= 0.05
+
+
+def test_segment_cumsum_is_bitwise_cumsum_per_segment():
+    rng = np.random.default_rng(12)
+    lengths = np.array([1, 5, 2, 9, 1, 3])
+    values = rng.random(lengths.sum())
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    expected = np.concatenate([np.cumsum(values[a:b]) for a, b in zip(starts[:-1], starts[1:])])
+    np.testing.assert_array_equal(_segment_cumsum(values, starts), expected)
+
+
+def dense_reference_trajectory(ts, start_vertex, steps, seed):
+    """The trajectory drawn from row cumsums of the dense stochastic matrices."""
+    rng = np.random.default_rng(seed)
+    cum_ve = np.cumsum(ts.vertex_to_edge, axis=1)
+    cum_ev = np.cumsum(ts.edge_to_vertex, axis=1)
+    draws = rng.random(2 * steps)
+    path = [start_vertex]
+    v = start_vertex
+    for i in range(steps):
+        e = min(int(np.searchsorted(cum_ve[v], draws[2 * i], side="right")), ts.m - 1)
+        v = min(int(np.searchsorted(cum_ev[e], draws[2 * i + 1], side="right")), ts.n - 1)
+        path += [e, v]
+    return path
+
+
+def test_trajectory_matches_dense_reference():
+    instances = [
+        triangle(),
+        six_by_four(),
+        hw.from_edge_lists(4, [{0, 1, 2}, {2, 3}, {0, 3}]),
+        hw.from_edge_lists(5, [{0, 1}, {1, 2}, {0, 2}, {3, 4}]),
+        hw.from_edge_lists(3, [{0}, {0, 1, 2}, {2}]),
+        hw.random_regular_uniform(20, 12, 5, 3, seed=3),
+    ]
+    for hg in instances:
+        ts = hw.build_transitions(hg)
+        for seed in range(4):
+            start = seed % hg.n
+            assert hw.sample_trajectory(ts, start, 300, seed=seed) == dense_reference_trajectory(
+                ts, start, 300, seed
+            )

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from hyperwalk.cli import main
-from conftest import single_edge, triangle
+from hyperwalk.cli import _series_lines, main
+from conftest import cycle, single_edge, triangle
 
 
 @pytest.fixture
@@ -140,6 +140,17 @@ def test_evolve_unknown_start_exit_codes(triangle_file):
     assert main(["evolve", triangle_file, "--start", "w:0", "--steps", "1"]) == 2
 
 
+def test_series_csv_digits_match_17g_format():
+    # Values whose shortest form and 17-digit form differ, the smallest
+    # subnormal, zero and a value that needs an exponent.
+    awkward = np.array([0.0, 5e-324, 1 / 3, 1e-300, 0.1, 1.0, 2 / 3, 1e-5])
+    rows = [(0, awkward), (12, awkward[::-1].copy())]
+    expected = "t," + ",".join(f"v{i}" for i in range(awkward.size)) + "\n"
+    for t, probs in rows:
+        expected += ",".join([str(t)] + [f"{x:.17g}" for x in probs]) + "\n"
+    assert "".join(_series_lines(rows, awkward.size, "csv")) == expected
+
+
 def test_classical_triangle_step(triangle_file, capsys):
     assert main(["classical", triangle_file, "--start", "v:0", "--steps", "1"]) == 0
     _, rows = read_csv(capsys.readouterr().out)
@@ -178,6 +189,18 @@ def test_spectrum_single_edge_report(single_edge_file, capsys):
 
 def test_spectrum_bad_tolerance_exit_code(triangle_file):
     assert main(["spectrum", triangle_file, "--tol", "0.5"]) == 2
+
+
+def test_spectrum_surplus_unit_tags_exit_code(tmp_path, capsys):
+    # A loose classify_tol tags near-1 interior values of the 200-cycle as
+    # unit; the report keeps all 400 eigenvalues and fails verification.
+    path = tmp_path / "cycle.hg"
+    path.write_text(hw.serialize(cycle(200)))
+    assert main(["spectrum", str(path), "--classify-tol", "1e-3"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verdict"] == "fail"
+    assert sum(entry["multiplicity"] for entry in doc["predicted"]) == doc["N"] == 400
+    assert main(["spectrum", str(path)]) == 0
 
 
 def test_spectrum_unverified_above_cap(triangle_file, capsys, monkeypatch):

@@ -7,7 +7,16 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from conftest import battery, random_instances, random_state, single_edge, six_by_four, triangle
+from conftest import (
+    battery,
+    cycle,
+    random_instances,
+    random_state,
+    single_edge,
+    six_by_four,
+    triangle,
+)
+from hyperwalk.spectral import cycle_basis
 
 
 def pipeline(hg):
@@ -242,17 +251,32 @@ def test_generic_counts_synthetic_wide_case():
     assert_count_rule(hw.random_regular_uniform(4, 8, 2, 4, seed=46))
 
 
-@pytest.mark.parametrize(
-    "n, edges, units",
-    [
-        pytest.param(4, [{0, 1, 2}, {2, 3}, {0, 3}], 1, id="non-regular"),
-        pytest.param(5, [{0, 1}, {1, 2}, {0, 2}, {3, 4}], 2, id="disconnected"),
-        pytest.param(3, [{0, 1, 2}, {0, 1, 2}, {1, 2}], 1, id="repeated-edges"),
-        pytest.param(3, [{0}, {0, 1, 2}, {2}], 1, id="singleton-edges"),
-        pytest.param(1, [{0}], 1, id="one-vertex"),
-        pytest.param(1, [{0}, {0}], 1, id="one-vertex-two-edges"),
-    ],
-)
+IRREGULAR = [
+    pytest.param(4, [{0, 1, 2}, {2, 3}, {0, 3}], 1, id="non-regular"),
+    pytest.param(5, [{0, 1}, {1, 2}, {0, 2}, {3, 4}], 2, id="disconnected"),
+    pytest.param(3, [{0, 1, 2}, {0, 1, 2}, {1, 2}], 1, id="repeated-edges"),
+    pytest.param(3, [{0}, {0, 1, 2}, {2}], 1, id="singleton-edges"),
+    pytest.param(1, [{0}], 1, id="one-vertex"),
+    pytest.param(1, [{0}, {0}], 1, id="one-vertex-two-edges"),
+]
+
+
+def component_count(hg):
+    """Connected components of the incidence graph, by union-find over the pairs."""
+    parent = list(range(hg.n + hg.m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v, e in zip(hg.pair_v.tolist(), hg.pair_e.tolist()):
+        parent[find(v)] = find(hg.n + e)
+    return len({find(x) for x in range(hg.n + hg.m)})
+
+
+@pytest.mark.parametrize("n, edges, units", IRREGULAR)
 def test_irregular_instances(n, edges, units):
     # Outside the regular uniform family the isometry weights differ from
     # pair to pair, so a pair indexed by the wrong degree shows up here.
@@ -264,6 +288,41 @@ def test_irregular_instances(n, edges, units):
     _, ps, _, walk = pipeline(hg)
     psi = random_state(ps.size, seed=ps.size)
     assert np.abs(hw.apply_walk(walk, psi).amplitudes - walk.dense @ psi.amplitudes).max() <= 1e-12
+
+
+def test_cycle_basis_spans_the_complement():
+    instances = [hw.from_edge_lists(*case.values[:2]) for case in IRREGULAR]
+    instances += random_instances(10, seed=47) + [cycle(7)]
+    for hg in instances:
+        ts, ps, iso, _ = pipeline(hg)
+        basis = cycle_basis(ps)
+        assert basis.shape == (ps.size, ps.size - hg.n - hg.m + component_count(hg))
+        assert set(np.unique(basis).tolist()) <= {-1.0, 0.0, 1.0}
+        for column in basis.T:
+            assert not np.bincount(ps.pair_v, weights=column, minlength=hg.n).any()
+            assert not np.bincount(ps.pair_e, weights=column, minlength=hg.m).any()
+        assert np.linalg.matrix_rank(basis) == basis.shape[1]
+        svd = hw.full_svd(hw.discriminant(ts))
+        pred = hw.predict_spectrum(svd, iso)
+        assert np.abs(np.linalg.norm(pred.eigenvectors, axis=0) - 1.0).max() <= 1e-12
+        values_only = hw.predict_spectrum(svd, iso, with_vectors=False)
+        np.testing.assert_array_equal(
+            np.sort_complex(pred.eigenvalues), np.sort_complex(values_only.eigenvalues)
+        )
+
+
+def test_surplus_unit_tags_keep_the_count_and_fail():
+    # The 200-cycle has sigma_j = |cos(pi j / 200)| and one component. With
+    # classify_tol=1e-3, sigma_1 and sigma_2 (twice each) are tagged unit
+    # beside the exact sigma_0 = 1: four more unit tags than components, so
+    # four B nu vectors stand in for +1 eigenvectors with a nonzero residual.
+    hg = cycle(200)
+    report = hw.analyze(hg, classify_tol=1e-3)
+    assert report.classification.count("unit") == 5
+    assert report.predicted.size == report.size == 400
+    assert report.verdict == "fail"
+    assert report.max_residual > 1e-8
+    assert hw.analyze(hg).verdict == "pass"
 
 
 def test_analyze_passes_on_random_instances():
