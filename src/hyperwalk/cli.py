@@ -44,6 +44,7 @@ from .operators import (
 )
 from .spectral import (
     CLASSIFY_TOL_DEFAULT,
+    TOL_CEILING,
     VERIFY_TOL_DEFAULT,
     analyze,
 )
@@ -268,8 +269,8 @@ def _cmd_fuzz(args) -> int:
 
 def _tolerance(text: str) -> float:
     value = float(text)
-    if not 0.0 < value <= 1e-3:
-        raise argparse.ArgumentTypeError("tolerance must be in (0, 1e-3]")
+    if not 0.0 < value <= TOL_CEILING:
+        raise argparse.ArgumentTypeError(f"tolerance must be in (0, {TOL_CEILING}]")
     return value
 
 

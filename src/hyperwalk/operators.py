@@ -35,6 +35,7 @@ from .hypergraph import Hypergraph, pair_segments, scatter
 DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
 DEFAULT_DENSE_CAP = 4096
 _NORM_HARD_TOL = 1e-9
+_DENSE_BLOCK = 256
 
 
 def dense_cap() -> int:
@@ -112,6 +113,12 @@ class WalkOperator:
     def dense(self) -> np.ndarray:
         """(2BB^T - I)(2AA^T - I) from the dense isometries, independent of walk_action.
 
+        Built by matrix products in blocks J of columns: X = 2 A A[J]^T - I[:, J]
+        is the block of the first reflection, and the block of the walk is
+        2 B (B^T X) - X. At its peak only the N x N result, the dense A and B
+        and a few N x block temporaries are alive; no N x N identity, Gram
+        matrix or reflection is formed.
+
         Raises DimensionTooLargeError when N exceeds the dense cap.
         """
         cap = dense_cap()
@@ -119,8 +126,18 @@ class WalkOperator:
             raise DimensionTooLargeError(f"pair dimension {self.size} exceeds dense cap {cap}")
         a = self.isometries.vertex_isometry
         b = self.isometries.edge_isometry
-        eye = np.eye(self.size)
-        return (2.0 * (b @ b.T) - eye) @ (2.0 * (a @ a.T) - eye)
+        out = np.empty((self.size, self.size))
+        for start in range(0, self.size, _DENSE_BLOCK):
+            block = slice(start, min(start + _DENSE_BLOCK, self.size))
+            x = a @ a[block].T
+            x *= 2.0
+            diagonal = np.arange(x.shape[1])
+            x[start + diagonal, diagonal] -= 1.0
+            y = b @ (b.T @ x)
+            y *= 2.0
+            y -= x
+            out[:, block] = y
+        return out
 
 
 @dataclass(frozen=True)

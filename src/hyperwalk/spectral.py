@@ -37,7 +37,8 @@ shows the misclassification.
 Multiplicities always total N, whatever the classification. Verification
 pairs the predicted multiset against the eigenvalues of the dense walk
 matrix (no eigenvectors are computed there) and checks every predicted
-eigenvector's walk_action residual.
+eigenvector's walk_action residual, on column blocks that are built from
+per-eigenvalue recipes and dropped in turn.
 """
 
 from __future__ import annotations
@@ -97,14 +98,66 @@ class SvdResult:
 
 
 @dataclass(frozen=True)
+class EigenvectorColumns:
+    """How each predicted eigenvector is built; no column is stored.
+
+    One recipe per eigenvalue, (kind, idx, phase, scale): "A mu" is column
+    idx of A U, "B nu" column idx of B V, "interior" is
+    (A mu - phase B nu) / scale at idx, and "cycle" is column idx of the
+    cycle basis divided by scale. A and B have one nonzero per row, so
+    A mu and B nu are row gathers of single SVD columns.
+    """
+
+    svd: SvdResult
+    iso: IsometryPair
+    recipes: tuple[tuple[str, int, complex, float], ...]
+
+    def block(self, columns: slice, cycles: np.ndarray) -> np.ndarray:
+        """The selected eigenvectors as a complex N x len matrix; cycles is cycle_basis(pair_space)."""
+        ps = self.iso.pair_space
+        recipes = self.recipes[columns]
+        out = np.empty((ps.size, len(recipes)), dtype=np.complex128)
+        for col, (kind, idx, phase, scale) in enumerate(recipes):
+            if kind == "cycle":
+                out[:, col] = cycles[:, idx] / scale
+            elif kind == "A mu":
+                out[:, col] = self._a_mu(idx)
+            elif kind == "B nu":
+                out[:, col] = self._b_nu(idx)
+            else:
+                out[:, col] = (self._a_mu(idx) - phase * self._b_nu(idx)) / scale
+        return out
+
+    def _a_mu(self, idx: int) -> np.ndarray:
+        ps = self.iso.pair_space
+        return self.iso.vertex_weights * self.svd.left_vectors[ps.pair_v, idx]
+
+    def _b_nu(self, idx: int) -> np.ndarray:
+        ps = self.iso.pair_space
+        return self.iso.edge_weights * self.svd.right_vectors[ps.pair_e, idx]
+
+
+@dataclass(frozen=True)
 class SpectrumPrediction:
-    """Predicted eigenvalue multiset (and eigenvectors) of the walk operator."""
+    """Predicted eigenvalue multiset (and eigenvectors) of the walk operator.
+
+    eigenvectors is the N x N complex matrix of unit eigenvectors, one column
+    per eigenvalue, built from the recipes in columns on each access, as
+    walk.dense is. It is None, and so are residuals and columns, when the
+    prediction was made with with_vectors=False.
+    """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None
     classification: tuple[str, ...]
     residuals: np.ndarray | None
     notes: tuple[str, ...]
+    columns: EigenvectorColumns | None = None
+
+    @property
+    def eigenvectors(self) -> np.ndarray | None:
+        if self.columns is None:
+            return None
+        return self.columns.block(slice(None), cycle_basis(self.columns.iso.pair_space))
 
     @property
     def max_residual(self) -> float | None:
@@ -264,47 +317,40 @@ def predict_spectrum(
 ) -> SpectrumPrediction:
     """Assemble the predicted eigensystem of the walk from the discriminant's SVD.
 
-    With with_vectors=True (the default) every predicted eigenvalue comes
-    with a unit eigenvector, the +1 complement spanned by normalised
-    fundamental cycles (see cycle_basis), and walk_action residuals are
-    computed for all of them. With with_vectors=False only the eigenvalues
-    are assembled, from the tags alone.
+    With with_vectors=True (the default) each eigenvalue is recorded with
+    the recipe of its unit eigenvector (see EigenvectorColumns), the +1
+    complement spanned by normalised fundamental cycles (see cycle_basis).
+    The walk_action residual of every eigenvector is computed on column
+    blocks built from the recipes and dropped in turn, so no N x N matrix is
+    formed; the eigenvectors are built again on access. With
+    with_vectors=False only the eigenvalues are assembled, from the tags
+    alone.
     """
     tol = _check_tolerance(tol)
     ps = iso.pair_space
     size, n, m = ps.size, ps.n, ps.m
     sigma = svd.singular_values
     tags = classify_singular_values(sigma, tol)
-    if with_vectors:
-        # A and B have one nonzero per row, so A U and B V are row gathers.
-        a_mu = iso.vertex_weights[:, None] * svd.left_vectors[ps.pair_v]
-        b_nu = iso.edge_weights[:, None] * svd.right_vectors[ps.pair_e]
 
     values: list[complex] = []
-    vectors: list[np.ndarray] = []
+    recipes: list[tuple[str, int, complex, float]] = []
     notes: list[str] = []
 
-    def emit(value, vector):
-        """Record an eigenvalue; vector() builds its eigenvector only when asked for."""
+    def emit(value, kind, idx, phase=0j, scale=1.0):
         values.append(value)
-        if with_vectors:
-            vectors.append(vector())
+        recipes.append((kind, idx, phase, scale))
 
     for idx, (s, tag) in enumerate(zip(sigma, tags)):
         if tag == "unit":
-            emit(1.0 + 0.0j, lambda: a_mu[:, idx])
+            emit(1.0 + 0.0j, "A mu", idx)
         elif tag == "null":
-            emit(-1.0 + 0.0j, lambda: a_mu[:, idx])
-            emit(-1.0 + 0.0j, lambda: b_nu[:, idx])
+            emit(-1.0 + 0.0j, "A mu", idx)
+            emit(-1.0 + 0.0j, "B nu", idx)
         else:
             theta = np.arccos(np.clip(s, 0.0, 1.0))
             scale = np.sqrt(2.0) * np.sin(theta)
             for sign in (+1.0, -1.0):
-                phase = np.exp(sign * 1j * theta)
-                emit(
-                    np.exp(sign * 2j * theta),
-                    lambda: (a_mu[:, idx] - phase * b_nu[:, idx]) / scale,
-                )
+                emit(np.exp(sign * 2j * theta), "interior", idx, np.exp(sign * 1j * theta), scale)
     if "null" in tags:
         notes.append(
             "null singular values present: each assigned two -1 eigenvalues "
@@ -314,47 +360,50 @@ def predict_spectrum(
     # Unpaired singular directions on the larger side all map to -1.
     if n > m:
         for idx in range(m, n):
-            emit(-1.0 + 0.0j, lambda: a_mu[:, idx])
+            emit(-1.0 + 0.0j, "A mu", idx)
         notes.append(f"{n - m} unpaired vertex-side directions assigned eigenvalue -1")
     elif m > n:
         for idx in range(n, m):
-            emit(-1.0 + 0.0j, lambda: b_nu[:, idx])
+            emit(-1.0 + 0.0j, "B nu", idx)
         notes.append(f"{m - n} unpaired edge-side directions assigned eigenvalue -1")
 
     # Everything orthogonal to both isometry ranges is fixed by the walk.
     n_unit = tags.count("unit")
     complement_dim = size - (n + m - n_unit)
-    if with_vectors:
-        cycles = cycle_basis(ps)
-        components = cycles.shape[1] - (size - n - m)
-        cycles = cycles[:, : max(complement_dim, 0)]
-        vectors.extend((cycles / np.sqrt(np.abs(cycles).sum(axis=0))).T)
-        values.extend([1.0 + 0.0j] * cycles.shape[1])
-        # Unit tags beyond the c exact unit singular values stand in for
-        # cycles that do not exist. B nu fills each, and its residual is
-        # nonzero unless sigma really is 1.
-        for idx in range(components, n_unit):
-            emit(1.0 + 0.0j, lambda: b_nu[:, idx])
-    else:
+    if not with_vectors:
         values.extend([1.0 + 0.0j] * complement_dim)
+        return SpectrumPrediction(
+            eigenvalues=np.asarray(values, dtype=np.complex128),
+            classification=tags,
+            residuals=None,
+            notes=tuple(notes),
+        )
+
+    cycles = cycle_basis(ps)
+    components = cycles.shape[1] - (size - n - m)
+    for j, count in enumerate(np.count_nonzero(cycles[:, : max(complement_dim, 0)], axis=0)):
+        emit(1.0 + 0.0j, "cycle", j, scale=np.sqrt(count))
+    # Unit tags beyond the c exact unit singular values stand in for
+    # cycles that do not exist. B nu fills each, and its residual is
+    # nonzero unless sigma really is 1.
+    for idx in range(components, n_unit):
+        emit(1.0 + 0.0j, "B nu", idx)
 
     eigenvalues = np.asarray(values, dtype=np.complex128)
-    eigenvectors = None
-    residuals = None
-    if with_vectors:
-        eigenvectors = np.column_stack(vectors).astype(np.complex128, copy=False)
-        residuals = np.empty(eigenvalues.size)
-        # Column blocks keep the walk_action temporaries small.
-        for j in range(0, eigenvalues.size, _RESIDUAL_BLOCK):
-            block = slice(j, j + _RESIDUAL_BLOCK)
-            x = eigenvectors[:, block]
-            residuals[block] = np.linalg.norm(walk_action(iso, x) - x * eigenvalues[block], axis=0)
+    columns = EigenvectorColumns(svd, iso, tuple(recipes))
+    residuals = np.empty(eigenvalues.size)
+    # Each column block is built, checked and dropped, so the temporaries
+    # stay N x _RESIDUAL_BLOCK.
+    for j in range(0, eigenvalues.size, _RESIDUAL_BLOCK):
+        block = slice(j, j + _RESIDUAL_BLOCK)
+        x = columns.block(block, cycles)
+        residuals[block] = np.linalg.norm(walk_action(iso, x) - x * eigenvalues[block], axis=0)
     return SpectrumPrediction(
         eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
         classification=tags,
         residuals=residuals,
         notes=tuple(notes),
+        columns=columns,
     )
 
 
@@ -433,8 +482,8 @@ def analyze(
     walk = build_walk(iso)
     svd = full_svd(discriminant(ts))
     verifiable = walk.size <= dense_cap()
-    # The oracle runs first, so its dense matrices are freed before the
-    # predicted eigenvectors are built.
+    # The oracle runs first, so the dense walk matrix is freed before the
+    # prediction builds its eigenvector blocks for the residuals.
     actual = brute_force_spectrum(walk) if verifiable else None
     prediction = predict_spectrum(svd, iso, tol=classify_tol, with_vectors=verifiable)
     profile = degree_profile(hg)

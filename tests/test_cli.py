@@ -191,6 +191,14 @@ def test_spectrum_bad_tolerance_exit_code(triangle_file):
     assert main(["spectrum", triangle_file, "--tol", "0.5"]) == 2
 
 
+def test_spectrum_tolerance_ceiling_boundary(triangle_file):
+    # The CLI accepts exactly the library's range (0, TOL_CEILING].
+    assert hw.spectral.TOL_CEILING == 1e-3
+    for flag in ("--tol", "--classify-tol"):
+        assert main(["spectrum", triangle_file, flag, "1e-3"]) == 0
+        assert main(["spectrum", triangle_file, flag, "1.0001e-3"]) == 2
+
+
 def test_spectrum_surplus_unit_tags_exit_code(tmp_path, capsys):
     # A loose classify_tol tags near-1 interior values of the 200-cycle as
     # unit; the report keeps all 400 eigenvalues and fails verification.

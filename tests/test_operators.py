@@ -105,7 +105,13 @@ def test_walk_is_orthogonal():
 
 
 def test_dense_matrix_is_product_of_reflections():
-    for hg in [triangle(), six_by_four()]:
+    # walk.dense is built in column blocks of 256: N = 512 fills two blocks
+    # exactly and N = 600 ends on a partial one.
+    multi_block = [
+        hw.random_regular_uniform(256, 128, 4, 2, seed=51),
+        hw.random_regular_uniform(300, 200, 3, 2, seed=49),
+    ]
+    for hg in [triangle(), six_by_four()] + multi_block:
         _, _, iso, walk = pipeline(hg)
         eye = np.eye(walk.size)
         reflect_v = 2 * (iso.vertex_isometry @ iso.vertex_isometry.T) - eye

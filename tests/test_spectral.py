@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,57 @@ def test_cycle_basis_spans_the_complement():
         np.testing.assert_array_equal(
             np.sort_complex(pred.eigenvalues), np.sort_complex(values_only.eigenvalues)
         )
+
+
+STREAMED = [
+    pytest.param(lambda case=case: hw.from_edge_lists(*case.values[:2]), 1e-9, id=case.id)
+    for case in IRREGULAR
+] + [
+    pytest.param(six_by_four, 1e-9, id="six-by-four"),
+    pytest.param(lambda: hw.random_regular_uniform(128, 64, 4, 2, seed=48), 1e-9, id="N256"),
+    pytest.param(lambda: hw.random_regular_uniform(300, 200, 3, 2, seed=49), 1e-9, id="N600"),
+    pytest.param(lambda: hw.random_regular_uniform(100, 150, 2, 3, seed=50), 1e-9, id="N300-wide"),
+    pytest.param(lambda: cycle(200), 1e-3, id="cycle200-surplus-unit-tags"),
+]
+
+
+@pytest.mark.parametrize("build, classify_tol", STREAMED)
+def test_streamed_residuals_match_dense_columns(build, classify_tol):
+    # Residuals come from column blocks built and dropped one at a time; they
+    # must equal the column norms of W V - V diag(lambda) for the eigenvector
+    # matrix V that the prediction builds on access. N = 256 is an exact
+    # multiple of the block width; the other sizes are not.
+    hg = build()
+    ts, ps, iso, walk = pipeline(hg)
+    pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), iso, tol=classify_tol)
+    vectors = pred.eigenvectors
+    assert vectors.shape == (ps.size, ps.size) and vectors.dtype == np.complex128
+    np.testing.assert_array_equal(pred.eigenvectors, vectors)
+    dense = np.linalg.norm(walk.dense @ vectors - vectors * pred.eigenvalues, axis=0)
+    assert np.abs(pred.residuals - dense).max() <= 1e-12
+    assert hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), iso, with_vectors=False).eigenvectors is None
+
+
+def test_oracle_and_prediction_memory_budget():
+    # At N = 1200 the dense walk matrix is N^2 * 8 bytes. Its blocked build
+    # keeps the result, the dense isometries and N x block temporaries; the
+    # prediction keeps no N x N matrix at all.
+    hg = hw.random_regular_uniform(600, 400, 3, 2, seed=1)
+    ts, ps, iso, walk = pipeline(hg)
+    svd = hw.full_svd(hw.discriminant(ts))
+    ps.segments  # cached on first use, so neither peak below includes it
+    matrix_bytes = ps.size**2 * 8
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(lambda: walk.dense) <= 3 * matrix_bytes
+    assert traced_peak(lambda: hw.predict_spectrum(svd, iso)) <= 2 * matrix_bytes
 
 
 def test_surplus_unit_tags_keep_the_count_and_fail():
