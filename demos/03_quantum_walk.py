@@ -1,4 +1,4 @@
-"""The quantized walk: pair space, reflections, and unitary evolution.
+"""The quantized walk: the pair basis, reflections, and unitary evolution.
 
 Run with: python3 demos/03_quantum_walk.py
 """
@@ -7,36 +7,31 @@ import numpy as np
 
 import hyperwalk as hw
 
-# The quantum walker lives on the incident (vertex, hyperedge) pairs. For a
+# The quantum walker lives on the hypergraph's incident (vertex, hyperedge)
+# pairs; the walk holds sqrt(p_ve) and sqrt(p_ev) at each of them. For a
 # single hyperedge covering all vertices the walk step collapses to Grover
 # diffusion about the uniform superposition.
 single = hw.from_edge_lists(3, [{0, 1, 2}])
-ts = hw.build_transitions(single)
-ps = hw.build_pair_space(single)
-iso = hw.build_isometries(single, ts, ps)
-walk = hw.build_walk(iso)
+walk = hw.build_walk(hw.build_transitions(single))
 
-print("pair basis:", ps.pairs)
+print("pair basis:", list(zip(single.pair_v.tolist(), single.pair_e.tolist())))
 print("walk matrix (Grover diffusion 2J/3 - I):")
 print(walk.dense)
 
-psi = hw.basis_pair_state(ps, 0, 0)
+psi = hw.basis_pair_state(single, 0, 0)
 stepped = hw.apply_walk(walk, psi)
 print("\none step from basis pair (0,0):", stepped.amplitudes.real)
-print("vertex marginal:", hw.vertex_distribution(ps, stepped).probabilities)
+print("vertex marginal:", hw.vertex_distribution(single, stepped).probabilities)
 
 # On the triangle: amplitudes spread, norms are conserved exactly, and the
 # factored application agrees with the dense matrix.
 triangle = hw.from_edge_lists(3, [{0, 1}, {1, 2}, {0, 2}])
-ts = hw.build_transitions(triangle)
-ps = hw.build_pair_space(triangle)
-iso = hw.build_isometries(triangle, ts, ps)
-walk = hw.build_walk(iso)
+walk = hw.build_walk(hw.build_transitions(triangle))
 
-psi = hw.vertex_superposition(iso, 0)
+psi = hw.vertex_superposition(walk, 0)
 print("\ntriangle, starting from the vertex-0 superposition:")
 for t, state in enumerate(hw.evolve(walk, psi, 6, keep_all=True)):
-    marginal = hw.vertex_distribution(ps, state).probabilities
+    marginal = hw.vertex_distribution(triangle, state).probabilities
     print(f"t={t}: marginal={np.round(marginal, 6)}  norm drift={abs(state.norm - 1.0):.2e}")
 
 dense_step = walk.dense @ psi.amplitudes
@@ -47,12 +42,9 @@ print("factored vs dense max difference:", np.abs(dense_step - factored_step).ma
 # pair list, O(N) per step, and long evolutions stay on the unit sphere to
 # near machine precision.
 hg = hw.random_regular_uniform(40, 30, 4, 3, seed=5)
-ts = hw.build_transitions(hg)
-ps = hw.build_pair_space(hg)
-iso = hw.build_isometries(hg, ts, ps)
-walk = hw.build_walk(iso)
+walk = hw.build_walk(hw.build_transitions(hg))
 rng = np.random.default_rng(1)
-amps = rng.standard_normal(ps.size) + 1j * rng.standard_normal(ps.size)
+amps = rng.standard_normal(walk.size) + 1j * rng.standard_normal(walk.size)
 psi = hw.StateVector(amps / np.linalg.norm(amps))
 final = hw.evolve(walk, psi, 1000)
-print(f"\nrandom instance N={ps.size}: norm drift after 1000 steps = {abs(final.norm - 1.0):.2e}")
+print(f"\nrandom instance N={walk.size}: norm drift after 1000 steps = {abs(final.norm - 1.0):.2e}")

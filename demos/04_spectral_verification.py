@@ -15,7 +15,7 @@ triangle = hw.from_edge_lists(3, [{0, 1}, {1, 2}, {0, 2}])
 ts = hw.build_transitions(triangle)
 disc = hw.discriminant(ts)
 print("discriminant matrix (here H/2):")
-print(disc.matrix)
+print(disc)
 
 svd = hw.full_svd(disc)
 print("singular values:", np.round(svd.singular_values, 12))
@@ -24,14 +24,12 @@ print("classification:", hw.classify_singular_values(svd.singular_values, tol=1e
 # sigma = 1 contributes one +1 eigenvalue; each interior sigma = 1/2
 # (theta = pi/3) contributes the conjugate pair exp(+/- 2*pi*i/3); the
 # one-dimensional leftover orthogonal to both subspaces is fixed.
-ps = hw.build_pair_space(triangle)
-iso = hw.build_isometries(triangle, ts, ps)
-pred = hw.predict_spectrum(svd, iso)
+walk = hw.build_walk(ts)
+pred = hw.predict_spectrum(svd, walk)
 print("\npredicted eigenvalues (grouped):")
 for z, count in hw.group_eigenvalues(pred.eigenvalues):
     print(f"  {z:.6f} x {count}")
 
-walk = hw.build_walk(iso)
 actual = hw.brute_force_spectrum(walk)
 verdict = hw.verify(pred, actual)
 print("\nbrute-force comparison:")

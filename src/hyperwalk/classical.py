@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .hypergraph import Hypergraph, degree_profile, pair_segments, scatter
+from .hypergraph import Hypergraph, degree_profile, scatter
 
 # Hard bound is loose (1e-9): marginals of long evolutions legitimately
 # drift past the 1e-12 a freshly built distribution satisfies.
@@ -72,7 +72,8 @@ class Distribution:
             raise ValueError("distribution must be a flat vector")
         if p.min(initial=0.0) < 0.0:
             raise ValueError("negative probability entry")
-        if abs(p.sum() - 1.0) > _DIST_SUM_TOL:
+        # Written so that a NaN entry, hence a NaN sum, fails.
+        if not abs(p.sum() - 1.0) <= _DIST_SUM_TOL:
             raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
         p = p.copy()
         p.setflags(write=False)
@@ -149,7 +150,7 @@ def sample_trajectory(ts: TransitionSystem, start_vertex: int, steps: int, seed:
     if steps < 0:
         raise ValueError("steps must be >= 0")
     hg = ts.hypergraph
-    vertex_starts, edge_order, edge_starts = pair_segments(hg.n, hg.m, hg.pair_v, hg.pair_e)
+    vertex_starts, edge_order, edge_starts = hg.segments
     vertex_starts = np.append(vertex_starts, edge_order.size)
     edge_starts = np.append(edge_starts, edge_order.size)
     cum_ve = _segment_cumsum(ts.p_ve, vertex_starts).tolist()

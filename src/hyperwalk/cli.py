@@ -35,8 +35,6 @@ from .hypergraph import (
 from .operators import (
     apply_walk,
     basis_pair_state,
-    build_isometries,
-    build_pair_space,
     build_walk,
     dense_cap,
     vertex_distribution,
@@ -114,19 +112,19 @@ def _series_lines(rows: list[tuple[int, np.ndarray]], n: int, fmt: str):
     yield json.dumps(payload, indent=2) + "\n"
 
 
-def _parse_start(spec: str, ps, iso):
+def _parse_start(spec: str, walk):
     """Start state from 'v:<index>' (vertex-anchored superposition) or 'pair:<v>,<e>'."""
     kind, _, rest = spec.partition(":")
     if kind == "v" and rest:
         v = int(rest)
-        if not 0 <= v < ps.n:
+        if not 0 <= v < walk.hypergraph.n:
             raise ValueError(f"unknown start vertex {v}")
-        return vertex_superposition(iso, v)
+        return vertex_superposition(walk, v)
     if kind == "pair" and rest:
         parts = rest.split(",")
         if len(parts) != 2:
             raise ValueError(f"start pair must be 'pair:<v>,<e>', got {spec!r}")
-        return basis_pair_state(ps, int(parts[0]), int(parts[1]))
+        return basis_pair_state(walk.hypergraph, int(parts[0]), int(parts[1]))
     raise ValueError(f"start must be 'v:<index>' or 'pair:<v>,<e>', got {spec!r}")
 
 
@@ -194,15 +192,12 @@ def _cmd_classical(args) -> int:
 
 def _cmd_evolve(args) -> int:
     hg = _read_hypergraph(args.file)
-    ts = build_transitions(hg)
-    ps = build_pair_space(hg)
-    iso = build_isometries(hg, ts, ps)
-    walk = build_walk(iso)
-    psi = _parse_start(args.start, ps, iso)
-    rows = [(0, vertex_distribution(ps, psi).probabilities)]
+    walk = build_walk(build_transitions(hg))
+    psi = _parse_start(args.start, walk)
+    rows = [(0, vertex_distribution(hg, psi).probabilities)]
     for t in range(1, args.steps + 1):
         psi = apply_walk(walk, psi)
-        rows.append((t, vertex_distribution(ps, psi).probabilities))
+        rows.append((t, vertex_distribution(hg, psi).probabilities))
     _write_lines(args.out, _series_lines(rows, hg.n, args.format))
     return 0
 

@@ -3,9 +3,10 @@
 A hypergraph here is n vertices plus m hyperedges, each a non-empty vertex
 subset, stored as its N incident (vertex, hyperedge) pairs: int64 arrays
 pair_v and pair_e sorted by (v, e), the edges of the bipartite incidence
-graph. Every later layer works from them; the n-by-m incidence matrix is a
-view built on access. Isolated vertices and empty hyperedges are rejected:
-every transition probability divides by the vertex and edge degrees.
+graph. Every later layer works from them and from their segments, computed
+once; the n-by-m incidence matrix is a view built on access. Isolated
+vertices and empty hyperedges are rejected: every transition probability
+divides by the vertex and edge degrees.
 
 Also defined here: degree profiles, connectivity, a configuration-model
 generator for d-regular k-uniform instances, and the plain-text .hg format.
@@ -14,6 +15,7 @@ generator for d-regular k-uniform instances, and the plain-text .hg format.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,17 +37,6 @@ def scatter(shape: tuple[int, int], rows, cols, values) -> np.ndarray:
     out = np.zeros(shape, dtype=np.result_type(values))
     out[rows, cols] = values
     return out
-
-
-def pair_segments(
-    n: int, m: int, pair_v: np.ndarray, pair_e: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vertex_starts, edge_order, edge_starts) of pairs sorted by (v, e): where each
-    vertex's pairs start, the pair indices hyperedge by hyperedge, and where each
-    hyperedge starts there."""
-    edge_order = np.argsort(pair_e, kind="stable")
-    edge_starts = np.searchsorted(pair_e[edge_order], np.arange(m))
-    return np.searchsorted(pair_v, np.arange(n)), edge_order, edge_starts
 
 
 def _first_absent(index: np.ndarray, count: int) -> int | None:
@@ -90,6 +81,15 @@ class Hypergraph:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(vertex_starts, edge_order, edge_starts): where each vertex's pairs
+        start, the pair indices hyperedge by hyperedge, and where each
+        hyperedge starts there."""
+        edge_order = np.argsort(self.pair_e, kind="stable")
+        edge_starts = np.searchsorted(self.pair_e[edge_order], np.arange(self.m))
+        return np.searchsorted(self.pair_v, np.arange(self.n)), edge_order, edge_starts
+
     @property
     def incidence(self) -> np.ndarray:
         """Read-only dense n x m 0/1 matrix, built on each access."""
@@ -99,9 +99,8 @@ class Hypergraph:
 
     def edge_sets(self) -> list[list[int]]:
         """Vertex indices of each hyperedge, sorted ascending, in edge order."""
-        by_edge = self.pair_v[np.argsort(self.pair_e, kind="stable")]
-        bounds = np.cumsum(np.bincount(self.pair_e, minlength=self.m))[:-1]
-        return [edge.tolist() for edge in np.split(by_edge, bounds)]
+        _, edge_order, edge_starts = self.segments
+        return [edge.tolist() for edge in np.split(self.pair_v[edge_order], edge_starts[1:])]
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,14 @@ def random_feasible_parameters(rng, max_n: int = 60, max_pairs: int = 512):
     """Draw a feasible (n, m, k, d) with k in 2..5 and d in 1..5.
 
     Uses n = t*k, m = t*d so that n*d == m*k holds by construction, with t
-    capped so n <= max_n and the pair-space dimension n*d <= max_pairs.
+    capped so n <= max_n and the pair dimension n*d <= max_pairs. Raises
+    InfeasibleParametersError when no draw can fit, that is when max_n < 2 or
+    max_pairs < 2.
     """
+    if max_n < 2 or max_pairs < 2:
+        raise InfeasibleParametersError(
+            f"infeasible: no k >= 2 fits max_n={max_n} and max_pairs={max_pairs}"
+        )
     while True:
         k = int(rng.integers(2, 6))
         d = int(rng.integers(1, 6))

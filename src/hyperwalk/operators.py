@@ -1,20 +1,21 @@
-"""Quantum walk space and operators.
+"""Quantum walk operator and states.
 
 Conventions
 -----------
-The walk lives on the span of incident (vertex, hyperedge) pairs, ordered
-lexicographically; non-incident pairs carry zero amplitude under every
-operator and are simply not represented. Both tensor orderings of the
+The walk lives on the span of the hypergraph's incident (vertex, hyperedge)
+pairs, in its (v, e) order; non-incident pairs carry zero amplitude under
+every operator and are simply not represented. Both tensor orderings of the
 literature are identified with this single pair basis, which is the only
 reading under which the two reflections compose on one space.
 
 The vertex isometry A has one column per vertex v: the unit state spread
 over the pairs (v, e) with amplitudes a = sqrt(p_ve). The edge isometry B
 has one column per hyperedge e, with amplitudes b = sqrt(p_ev). Each has one
-nonzero per row, so both are held as weight vectors over the pair list. A
-walk step is the reflection 2AA^T - I followed by 2BB^T - I, which
-walk_action applies as segment sums in O(N). The dense isometries and walk
-matrix are views built on access for the eig oracle and small tests.
+nonzero per row, so a WalkOperator holds only the two weight vectors over
+the pair list. A walk step is the reflection 2AA^T - I followed by
+2BB^T - I, which walk_action applies as segment sums in O(N). The dense walk
+matrix is a view scattered from the pair lists for the eig oracle and small
+tests.
 
 Amplitudes are complex throughout, even though the walk matrix is real
 orthogonal, because its eigenvectors are genuinely complex.
@@ -24,25 +25,24 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .classical import Distribution, TransitionSystem
 from .errors import DimensionMismatchError, DimensionTooLargeError
-from .hypergraph import Hypergraph, pair_segments, scatter
+from .hypergraph import Hypergraph
 
 DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
-DEFAULT_DENSE_CAP = 4096
+_DEFAULT_DENSE_CAP = 4096
 _NORM_HARD_TOL = 1e-9
-_DENSE_BLOCK = 256
+_SCATTER_BLOCKS, _SCATTER_ENTRIES = 32, 1 << 15
 
 
 def dense_cap() -> int:
     """Largest pair dimension N for a dense walk matrix, overridable via HYPERWALK_DENSE_CAP."""
     raw = os.environ.get(DENSE_CAP_ENV)
     if raw is None:
-        return DEFAULT_DENSE_CAP
+        return _DEFAULT_DENSE_CAP
     try:
         value = int(raw)
     except ValueError:
@@ -52,91 +52,66 @@ def dense_cap() -> int:
     return value
 
 
-@dataclass(frozen=True)
-class PairSpace:
-    """Ordered basis of incident pairs: the hypergraph's own sorted pair lists."""
-
-    n: int
-    m: int
-    pair_v: np.ndarray
-    pair_e: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.pair_v.size
-
-    @property
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.pair_v.tolist(), self.pair_e.tolist()))
-
-    @cached_property
-    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(vertex_starts, edge_order, edge_starts), as hypergraph.pair_segments."""
-        return pair_segments(self.n, self.m, self.pair_v, self.pair_e)
-
-
-@dataclass(frozen=True)
-class IsometryPair:
-    """sqrt(p_ve) and sqrt(p_ev) at each pair (v, e); the N x n vertex_isometry
-    and N x m edge_isometry are dense views of them with orthonormal columns."""
-
-    pair_space: PairSpace
-    vertex_weights: np.ndarray
-    edge_weights: np.ndarray
-
-    @property
-    def vertex_isometry(self) -> np.ndarray:
-        ps = self.pair_space
-        return scatter((ps.size, ps.n), np.arange(ps.size), ps.pair_v, self.vertex_weights)
-
-    @property
-    def edge_isometry(self) -> np.ndarray:
-        ps = self.pair_space
-        return scatter((ps.size, ps.m), np.arange(ps.size), ps.pair_e, self.edge_weights)
+def _sharing(rows: np.ndarray, order: np.ndarray, starts: np.ndarray, group: np.ndarray):
+    """Each pair sharing its group with an entry of rows, as (position in rows, pair);
+    group[x] is the group of pair x, and group g is order[starts[g]:starts[g + 1]]."""
+    bounds = np.append(starts, order.size)
+    g = group[rows]
+    count = bounds[g + 1] - bounds[g]
+    at = np.repeat(np.arange(rows.size), count)
+    offset = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
+    return at, order[bounds[g][at] + offset]
 
 
 @dataclass(frozen=True)
 class WalkOperator:
-    """One walk step: the pair of reflections given by an isometry pair."""
+    """One walk step on the hypergraph's incident pairs.
 
-    isometries: IsometryPair
+    vertex_weights and edge_weights hold sqrt(p_ve) and sqrt(p_ev) at each
+    pair (v, e): the one nonzero in that pair's row of A and of B.
+    """
 
-    @property
-    def pair_space(self) -> PairSpace:
-        return self.isometries.pair_space
+    hypergraph: Hypergraph
+    vertex_weights: np.ndarray
+    edge_weights: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.pair_space.size
+        return self.hypergraph.pair_v.size
 
     @property
     def dense(self) -> np.ndarray:
-        """(2BB^T - I)(2AA^T - I) from the dense isometries, independent of walk_action.
+        """(2BB^T - I)(2AA^T - I), scattered from the pair lists, independent of walk_action.
 
-        Built by matrix products in blocks J of columns: X = 2 A A[J]^T - I[:, J]
-        is the block of the first reflection, and the block of the walk is
-        2 B (B^T X) - X. At its peak only the N x N result, the dense A and B
-        and a few N x block temporaries are alive; no N x N identity, Gram
-        matrix or reflection is formed.
+        Expanded, W = 4 BB^T AA^T - 2 BB^T - 2 AA^T + I, where
+        (BB^T AA^T)[p, q] = b_p b_r a_r a_q for the one pair r = (v_q, e_p),
+        if incident. Each block of rows p lists every r sharing p's
+        hyperedge (the support of BB^T) and every q sharing r's vertex; q
+        shares p's vertex (the support of AA^T) where r = p. No (p, q)
+        repeats within a term. The row blocks hold the index arrays to about
+        max(N^2 / 16, 2^16) entries, however the pairs are grouped.
 
         Raises DimensionTooLargeError when N exceeds the dense cap.
         """
         cap = dense_cap()
         if self.size > cap:
             raise DimensionTooLargeError(f"pair dimension {self.size} exceeds dense cap {cap}")
-        a = self.isometries.vertex_isometry
-        b = self.isometries.edge_isometry
-        out = np.empty((self.size, self.size))
-        for start in range(0, self.size, _DENSE_BLOCK):
-            block = slice(start, min(start + _DENSE_BLOCK, self.size))
-            x = a @ a[block].T
-            x *= 2.0
-            diagonal = np.arange(x.shape[1])
-            x[start + diagonal, diagonal] -= 1.0
-            y = b @ (b.T @ x)
-            y *= 2.0
-            y -= x
-            out[:, block] = y
+        hg = self.hypergraph
+        a, b = self.vertex_weights, self.edge_weights
+        vertex_starts, edge_order, edge_starts = hg.segments
+        pairs = np.arange(self.size)
+        out = np.zeros((self.size, self.size))
+        step = max(-(-self.size // _SCATTER_BLOCKS), _SCATTER_ENTRIES // self.size)
+        for lo in range(0, self.size, step):
+            at, r = _sharing(pairs[lo : lo + step], edge_order, edge_starts, hg.pair_e)
+            p = lo + at
+            at, q = _sharing(r, pairs, vertex_starts, hg.pair_v)
+            pq, rq = p[at], r[at]
+            out[pq, q] = 4.0 * b[pq] * b[rq] * a[rq] * a[q]
+            out[p, r] -= 2.0 * b[p] * b[r]
+            own = pq == rq
+            out[pq[own], q[own]] -= 2.0 * a[pq[own]] * a[q[own]]
+        out[pairs, pairs] += 1.0
         return out
 
 
@@ -152,8 +127,8 @@ class StateVector:
             raise ValueError("amplitudes must be a flat vector")
         norm = np.linalg.norm(amps)
         # Hard bound is loose (1e-9): long evolutions legitimately drift past
-        # the 1e-12 a freshly built state satisfies.
-        if abs(norm - 1.0) > _NORM_HARD_TOL:
+        # the 1e-12 a freshly built state satisfies. Written so that NaN fails.
+        if not abs(norm - 1.0) <= _NORM_HARD_TOL:
             raise ValueError(f"state norm {norm!r} is not 1")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -164,39 +139,27 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def build_pair_space(hg: Hypergraph) -> PairSpace:
-    """The hypergraph's incident pairs, in lexicographic (vertex, edge) order."""
-    return PairSpace(n=hg.n, m=hg.m, pair_v=hg.pair_v, pair_e=hg.pair_e)
+def build_walk(ts: TransitionSystem) -> WalkOperator:
+    """Walk operator on ts's hypergraph, weighted by its per-pair transition probabilities."""
+    return WalkOperator(ts.hypergraph, np.sqrt(ts.p_ve), np.sqrt(ts.p_ev))
 
 
-def build_isometries(hg: Hypergraph, ts: TransitionSystem, ps: PairSpace) -> IsometryPair:
-    """Isometry weights from the per-pair transition probabilities."""
-    if (hg.n, hg.m) != (ts.n, ts.m) or (ps.n, ps.m, ps.size) != (hg.n, hg.m, ts.p_ve.size):
-        raise DimensionMismatchError("hypergraph, transitions and pair space disagree")
-    return IsometryPair(ps, np.sqrt(ts.p_ve), np.sqrt(ts.p_ev))
-
-
-def build_walk(iso: IsometryPair) -> WalkOperator:
-    """Walk operator from an isometry pair."""
-    return WalkOperator(isometries=iso)
-
-
-def walk_action(iso: IsometryPair, states: np.ndarray) -> np.ndarray:
+def walk_action(walk: WalkOperator, states: np.ndarray) -> np.ndarray:
     """One walk step applied to a state vector, or to each column of a matrix.
 
     Each reflection 2P - I only mixes the pairs of one vertex (or of one
     hyperedge): P sums the weighted amplitudes over that segment and spreads
     the sum back with the same weights. A step costs O(N) per column.
     """
-    ps = iso.pair_space
-    vertex_starts, edge_order, edge_starts = ps.segments
-    a, b = iso.vertex_weights, iso.edge_weights
+    hg = walk.hypergraph
+    vertex_starts, edge_order, edge_starts = hg.segments
+    a, b = walk.vertex_weights, walk.edge_weights
     if np.ndim(states) == 2:
         a, b = a[:, None], b[:, None]
-    y = np.add.reduceat(a * states, vertex_starts, axis=0)[ps.pair_v]
+    y = np.add.reduceat(a * states, vertex_starts, axis=0)[hg.pair_v]
     y *= 2.0 * a
     y -= states
-    z = np.add.reduceat((b * y)[edge_order], edge_starts, axis=0)[ps.pair_e]
+    z = np.add.reduceat((b * y)[edge_order], edge_starts, axis=0)[hg.pair_e]
     z *= 2.0 * b
     z -= y
     return z
@@ -208,7 +171,7 @@ def apply_walk(walk: WalkOperator, psi: StateVector) -> StateVector:
         raise DimensionMismatchError(
             f"state has {psi.amplitudes.size} amplitudes, walk space has {walk.size}"
         )
-    return StateVector(walk_action(walk.isometries, psi.amplitudes))
+    return StateVector(walk_action(walk, psi.amplitudes))
 
 
 def evolve(walk: WalkOperator, psi0: StateVector, steps: int, keep_all: bool = False):
@@ -224,40 +187,40 @@ def evolve(walk: WalkOperator, psi0: StateVector, steps: int, keep_all: bool = F
     return history if keep_all else psi
 
 
-def basis_pair_state(ps: PairSpace, v: int, e: int) -> StateVector:
+def basis_pair_state(hg: Hypergraph, v: int, e: int) -> StateVector:
     """Computational basis state at the incident pair (v, e)."""
     v, e = int(v), int(e)
     found = False
-    if 0 <= v < ps.n and 0 <= e < ps.m:
-        lo, hi = np.searchsorted(ps.pair_v, [v, v + 1])
-        index = lo + int(np.searchsorted(ps.pair_e[lo:hi], e))
-        found = index < hi and ps.pair_e[index] == e
+    if 0 <= v < hg.n and 0 <= e < hg.m:
+        lo, hi = np.searchsorted(hg.pair_v, [v, v + 1])
+        index = lo + int(np.searchsorted(hg.pair_e[lo:hi], e))
+        found = index < hi and hg.pair_e[index] == e
     if not found:
         raise ValueError(f"({v}, {e}) is not an incident (vertex, hyperedge) pair")
-    amps = np.zeros(ps.size, dtype=np.complex128)
+    amps = np.zeros(hg.pair_v.size, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(amps)
 
 
-def vertex_superposition(iso: IsometryPair, v: int) -> StateVector:
+def vertex_superposition(walk: WalkOperator, v: int) -> StateVector:
     """The unit state anchored at vertex v: column v of the vertex isometry."""
-    ps = iso.pair_space
-    if not 0 <= v < ps.n:
-        raise ValueError(f"vertex {v} outside [0, {ps.n})")
-    return StateVector(np.where(ps.pair_v == v, iso.vertex_weights, 0.0))
+    hg = walk.hypergraph
+    if not 0 <= v < hg.n:
+        raise ValueError(f"vertex {v} outside [0, {hg.n})")
+    return StateVector(np.where(hg.pair_v == v, walk.vertex_weights, 0.0))
 
 
-def vertex_distribution(ps: PairSpace, psi: StateVector) -> Distribution:
+def vertex_distribution(hg: Hypergraph, psi: StateVector) -> Distribution:
     """Measurement marginal over vertices: summed squared magnitudes per vertex."""
-    if psi.amplitudes.size != ps.size:
+    if psi.amplitudes.size != hg.pair_v.size:
         raise DimensionMismatchError("state and pair space sizes differ")
     weights = np.abs(psi.amplitudes) ** 2
-    return Distribution(np.bincount(ps.pair_v, weights=weights, minlength=ps.n))
+    return Distribution(np.bincount(hg.pair_v, weights=weights, minlength=hg.n))
 
 
-def edge_distribution(ps: PairSpace, psi: StateVector) -> Distribution:
+def edge_distribution(hg: Hypergraph, psi: StateVector) -> Distribution:
     """Measurement marginal over hyperedges."""
-    if psi.amplitudes.size != ps.size:
+    if psi.amplitudes.size != hg.pair_v.size:
         raise DimensionMismatchError("state and pair space sizes differ")
     weights = np.abs(psi.amplitudes) ** 2
-    return Distribution(np.bincount(ps.pair_e, weights=weights, minlength=ps.m))
+    return Distribution(np.bincount(hg.pair_e, weights=weights, minlength=hg.m))

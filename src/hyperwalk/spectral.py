@@ -1,11 +1,11 @@
 """Spectral analysis of the walk operator via its discriminant matrix.
 
 The discriminant is the n x m matrix with entries sqrt(p_ve * p_ev); it
-equals the product of the transposed vertex isometry with the edge isometry,
-so its singular triples (sigma, mu, nu) describe the principal angles
-theta = arccos(sigma) between the two reflection subspaces. Each triple
-spans a subspace invariant under the walk, and the walk's full eigensystem
-follows from the singular values alone:
+equals A^T B for the walk's vertex and edge isometries (held by the walk as
+their per-pair weights), so its singular triples (sigma, mu, nu) describe
+the principal angles theta = arccos(sigma) between the two reflection
+subspaces. Each triple spans a subspace invariant under the walk, and the
+walk's full eigensystem follows from the singular values alone:
 
   * interior sigma (strictly between 0 and 1): the conjugate eigenvalue pair
     exp(+/- 2i*theta), with eigenvectors
@@ -36,9 +36,10 @@ shows the misclassification.
 
 Multiplicities always total N, whatever the classification. Verification
 pairs the predicted multiset against the eigenvalues of the dense walk
-matrix (no eigenvectors are computed there) and checks every predicted
-eigenvector's walk_action residual, on column blocks that are built from
-per-eigenvalue recipes and dropped in turn.
+matrix, scattered from the pair lists independently of walk_action (no
+eigenvectors are computed there), and checks every predicted eigenvector's
+walk_action residual, on column blocks that are built from per-eigenvalue
+recipes and dropped in turn.
 """
 
 from __future__ import annotations
@@ -51,16 +52,7 @@ import numpy as np
 from .classical import TransitionSystem, build_transitions
 from .errors import CountMismatchError, InvalidToleranceError
 from .hypergraph import Hypergraph, degree_profile, scatter
-from .operators import (
-    IsometryPair,
-    PairSpace,
-    WalkOperator,
-    build_isometries,
-    build_pair_space,
-    build_walk,
-    dense_cap,
-    walk_action,
-)
+from .operators import WalkOperator, build_walk, dense_cap, walk_action
 
 CLASSIFY_TOL_DEFAULT = 1e-9
 VERIFY_TOL_DEFAULT = 1e-8
@@ -74,13 +66,6 @@ def _check_tolerance(tol: float) -> float:
     if not 0.0 < tol <= TOL_CEILING:
         raise InvalidToleranceError(f"tolerance must be in (0, {TOL_CEILING}], got {tol!r}")
     return float(tol)
-
-
-@dataclass(frozen=True)
-class Discriminant:
-    """n x m matrix sqrt(p_ve * p_ev); support pattern matches the incidence."""
-
-    matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -109,14 +94,13 @@ class EigenvectorColumns:
     """
 
     svd: SvdResult
-    iso: IsometryPair
+    walk: WalkOperator
     recipes: tuple[tuple[str, int, complex, float], ...]
 
     def block(self, columns: slice, cycles: np.ndarray) -> np.ndarray:
-        """The selected eigenvectors as a complex N x len matrix; cycles is cycle_basis(pair_space)."""
-        ps = self.iso.pair_space
+        """The selected eigenvectors as a complex N x len matrix; cycles is cycle_basis(hypergraph)."""
         recipes = self.recipes[columns]
-        out = np.empty((ps.size, len(recipes)), dtype=np.complex128)
+        out = np.empty((self.walk.size, len(recipes)), dtype=np.complex128)
         for col, (kind, idx, phase, scale) in enumerate(recipes):
             if kind == "cycle":
                 out[:, col] = cycles[:, idx] / scale
@@ -129,12 +113,10 @@ class EigenvectorColumns:
         return out
 
     def _a_mu(self, idx: int) -> np.ndarray:
-        ps = self.iso.pair_space
-        return self.iso.vertex_weights * self.svd.left_vectors[ps.pair_v, idx]
+        return self.walk.vertex_weights * self.svd.left_vectors[self.walk.hypergraph.pair_v, idx]
 
     def _b_nu(self, idx: int) -> np.ndarray:
-        ps = self.iso.pair_space
-        return self.iso.edge_weights * self.svd.right_vectors[ps.pair_e, idx]
+        return self.walk.edge_weights * self.svd.right_vectors[self.walk.hypergraph.pair_e, idx]
 
 
 @dataclass(frozen=True)
@@ -142,9 +124,9 @@ class SpectrumPrediction:
     """Predicted eigenvalue multiset (and eigenvectors) of the walk operator.
 
     eigenvectors is the N x N complex matrix of unit eigenvectors, one column
-    per eigenvalue, built from the recipes in columns on each access, as
-    walk.dense is. It is None, and so are residuals and columns, when the
-    prediction was made with with_vectors=False.
+    per eigenvalue, built from the recipes in columns on each access. It is
+    None, and so are residuals and columns, when the prediction was made
+    with with_vectors=False.
     """
 
     eigenvalues: np.ndarray
@@ -157,20 +139,13 @@ class SpectrumPrediction:
     def eigenvectors(self) -> np.ndarray | None:
         if self.columns is None:
             return None
-        return self.columns.block(slice(None), cycle_basis(self.columns.iso.pair_space))
+        return self.columns.block(slice(None), cycle_basis(self.columns.walk.hypergraph))
 
     @property
     def max_residual(self) -> float | None:
         if self.residuals is None:
             return None
         return float(self.residuals.max(initial=0.0))
-
-
-@dataclass(frozen=True)
-class BruteForceSpectrum:
-    """Eigenvalues of the dense walk matrix."""
-
-    eigenvalues: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -228,15 +203,15 @@ class SpectralReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def discriminant(ts: TransitionSystem) -> Discriminant:
-    """sqrt(p_ve * p_ev) at each incident pair (v, e), zero elsewhere."""
+def discriminant(ts: TransitionSystem) -> np.ndarray:
+    """The n x m matrix sqrt(p_ve * p_ev) at each incident pair (v, e), zero elsewhere."""
     hg = ts.hypergraph
-    return Discriminant(scatter((hg.n, hg.m), hg.pair_v, hg.pair_e, np.sqrt(ts.p_ve * ts.p_ev)))
+    return scatter((hg.n, hg.m), hg.pair_v, hg.pair_e, np.sqrt(ts.p_ve * ts.p_ev))
 
 
-def full_svd(disc: Discriminant) -> SvdResult:
+def full_svd(disc: np.ndarray) -> SvdResult:
     """Complete SVD, keeping the unpaired directions on the larger side."""
-    left, sigma, right_t = np.linalg.svd(disc.matrix, full_matrices=True)
+    left, sigma, right_t = np.linalg.svd(disc, full_matrices=True)
     return SvdResult(singular_values=sigma, left_vectors=left, right_vectors=right_t.T)
 
 
@@ -248,7 +223,7 @@ def classify_singular_values(sigma: np.ndarray, tol: float) -> tuple[str, ...]:
     )
 
 
-def cycle_basis(ps: PairSpace) -> np.ndarray:
+def cycle_basis(hg: Hypergraph) -> np.ndarray:
     """Signed fundamental cycles of a breadth-first spanning forest, one per column.
 
     The incidence graph has a node per vertex and per hyperedge and an edge
@@ -259,15 +234,15 @@ def cycle_basis(ps: PairSpace) -> np.ndarray:
     hyperedge's pairs. The N x (N - n - m + c) result spans the walk's +1
     complement; columns follow the order of their closing pairs.
     """
-    n, size = ps.n, ps.size
-    vertex_starts, edge_order, edge_starts = ps.segments
-    pair_v, pair_e, edge_pairs = ps.pair_v.tolist(), ps.pair_e.tolist(), edge_order.tolist()
+    n, size = hg.n, hg.pair_v.size
+    vertex_starts, edge_order, edge_starts = hg.segments
+    pair_v, pair_e, edge_pairs = hg.pair_v.tolist(), hg.pair_e.tolist(), edge_order.tolist()
     vertex_bounds = vertex_starts.tolist() + [size]
     edge_bounds = edge_starts.tolist() + [size]
     # Nodes 0..n-1 are vertices and n..n+m-1 hyperedges; up[x] is the pair
     # from x to its parent (-1 at a root, which the climb below never leaves).
-    up = [-1] * (n + ps.m)
-    depth = [-1] * (n + ps.m)
+    up = [-1] * (n + hg.m)
+    depth = [-1] * (n + hg.m)
     in_forest = np.zeros(size, dtype=bool)
     for root in range(n):
         if depth[root] >= 0:
@@ -286,8 +261,8 @@ def cycle_basis(ps: PairSpace) -> np.ndarray:
                     in_forest[p] = True
                     queue.append(y)
     up, depth = np.asarray(up), np.asarray(depth)
-    is_vertex = np.arange(n + ps.m) < n
-    parent = np.where(is_vertex, n + ps.pair_e[up], ps.pair_v[up])
+    is_vertex = np.arange(n + hg.m) < n
+    parent = np.where(is_vertex, n + hg.pair_e[up], hg.pair_v[up])
     closing = np.flatnonzero(~in_forest)
     basis = np.zeros((size, closing.size))
     columns = np.arange(closing.size)
@@ -297,7 +272,7 @@ def cycle_basis(ps: PairSpace) -> np.ndarray:
     # the forest, so it crosses the pairs climbed from the e end in the
     # climbing direction (+1 when climbing away from a vertex) and those
     # climbed from the v end against it (-1 when climbing away from a vertex).
-    x, y = ps.pair_v[closing], n + ps.pair_e[closing]
+    x, y = hg.pair_v[closing], n + hg.pair_e[closing]
     while columns.size:
         from_x, from_y = depth[x] >= depth[y], depth[y] >= depth[x]
         basis[up[x[from_x]], columns[from_x]] = np.where(is_vertex[x[from_x]], -1.0, 1.0)
@@ -311,7 +286,7 @@ def cycle_basis(ps: PairSpace) -> np.ndarray:
 
 def predict_spectrum(
     svd: SvdResult,
-    iso: IsometryPair,
+    walk: WalkOperator,
     tol: float = CLASSIFY_TOL_DEFAULT,
     with_vectors: bool = True,
 ) -> SpectrumPrediction:
@@ -327,8 +302,8 @@ def predict_spectrum(
     alone.
     """
     tol = _check_tolerance(tol)
-    ps = iso.pair_space
-    size, n, m = ps.size, ps.n, ps.m
+    hg = walk.hypergraph
+    size, n, m = walk.size, hg.n, hg.m
     sigma = svd.singular_values
     tags = classify_singular_values(sigma, tol)
 
@@ -379,7 +354,7 @@ def predict_spectrum(
             notes=tuple(notes),
         )
 
-    cycles = cycle_basis(ps)
+    cycles = cycle_basis(hg)
     components = cycles.shape[1] - (size - n - m)
     for j, count in enumerate(np.count_nonzero(cycles[:, : max(complement_dim, 0)], axis=0)):
         emit(1.0 + 0.0j, "cycle", j, scale=np.sqrt(count))
@@ -390,14 +365,14 @@ def predict_spectrum(
         emit(1.0 + 0.0j, "B nu", idx)
 
     eigenvalues = np.asarray(values, dtype=np.complex128)
-    columns = EigenvectorColumns(svd, iso, tuple(recipes))
+    columns = EigenvectorColumns(svd, walk, tuple(recipes))
     residuals = np.empty(eigenvalues.size)
     # Each column block is built, checked and dropped, so the temporaries
     # stay N x _RESIDUAL_BLOCK.
     for j in range(0, eigenvalues.size, _RESIDUAL_BLOCK):
         block = slice(j, j + _RESIDUAL_BLOCK)
         x = columns.block(block, cycles)
-        residuals[block] = np.linalg.norm(walk_action(iso, x) - x * eigenvalues[block], axis=0)
+        residuals[block] = np.linalg.norm(walk_action(walk, x) - x * eigenvalues[block], axis=0)
     return SpectrumPrediction(
         eigenvalues=eigenvalues,
         classification=tags,
@@ -407,9 +382,9 @@ def predict_spectrum(
     )
 
 
-def brute_force_spectrum(walk: WalkOperator) -> BruteForceSpectrum:
+def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     """Independent oracle: the eigenvalues of the dense walk matrix."""
-    return BruteForceSpectrum(eigenvalues=np.linalg.eigvals(walk.dense))
+    return np.linalg.eigvals(walk.dense)
 
 
 def _circle_sort(values: np.ndarray) -> np.ndarray:
@@ -446,15 +421,13 @@ def pairing_distance(predicted: np.ndarray, actual: np.ndarray) -> float:
 
 def verify(
     prediction: SpectrumPrediction,
-    actual: np.ndarray | BruteForceSpectrum,
+    actual: np.ndarray,
     tol: float = VERIFY_TOL_DEFAULT,
 ) -> Verdict:
     """Match prediction against brute-force eigenvalues and check residuals."""
     tol = _check_tolerance(tol)
     if prediction.residuals is None:
         raise ValueError("prediction carries no eigenvectors; rerun with with_vectors=True")
-    if isinstance(actual, BruteForceSpectrum):
-        actual = actual.eigenvalues
     distance = pairing_distance(prediction.eigenvalues, actual)
     max_residual = prediction.max_residual
     return Verdict(
@@ -477,24 +450,20 @@ def analyze(
     classify_tol = _check_tolerance(classify_tol)
     verify_tol = _check_tolerance(verify_tol)
     ts = build_transitions(hg)
-    ps = build_pair_space(hg)
-    iso = build_isometries(hg, ts, ps)
-    walk = build_walk(iso)
+    walk = build_walk(ts)
     svd = full_svd(discriminant(ts))
     verifiable = walk.size <= dense_cap()
     # The oracle runs first, so the dense walk matrix is freed before the
     # prediction builds its eigenvector blocks for the residuals.
     actual = brute_force_spectrum(walk) if verifiable else None
-    prediction = predict_spectrum(svd, iso, tol=classify_tol, with_vectors=verifiable)
+    prediction = predict_spectrum(svd, walk, tol=classify_tol, with_vectors=verifiable)
     profile = degree_profile(hg)
     if verifiable:
         verdict = verify(prediction, actual, tol=verify_tol)
-        actual_values = actual.eigenvalues
         verdict_label = "pass" if verdict.passed else "fail"
         pairing = verdict.max_pairing_distance
         residual = verdict.max_residual
     else:
-        actual_values = None
         verdict_label = "unverified"
         pairing = None
         residual = None
@@ -503,11 +472,11 @@ def analyze(
         m=hg.m,
         k=profile.k,
         d=profile.d,
-        size=ps.size,
+        size=walk.size,
         singular_values=svd.singular_values,
         classification=prediction.classification,
         predicted=prediction.eigenvalues,
-        actual=actual_values,
+        actual=actual,
         max_pairing_distance=pairing,
         max_residual=residual,
         deviations=prediction.notes,

@@ -1,10 +1,21 @@
 """Shared instance builders for the test suite."""
 
 import numpy as np
+import pytest
 
 import hyperwalk as hw
 
 FIG1_PARAMS = dict(n=6, m=4, k=3, d=2)
+
+# Cases outside the regular uniform family, as (n, edges, unit singular values).
+IRREGULAR = [
+    pytest.param(4, [{0, 1, 2}, {2, 3}, {0, 3}], 1, id="non-regular"),
+    pytest.param(5, [{0, 1}, {1, 2}, {0, 2}, {3, 4}], 2, id="disconnected"),
+    pytest.param(3, [{0, 1, 2}, {0, 1, 2}, {1, 2}], 1, id="repeated-edges"),
+    pytest.param(3, [{0}, {0, 1, 2}, {2}], 1, id="singleton-edges"),
+    pytest.param(1, [{0}], 1, id="one-vertex"),
+    pytest.param(1, [{0}, {0}], 1, id="one-vertex-two-edges"),
+]
 
 
 def single_edge() -> hw.Hypergraph:
@@ -46,3 +57,23 @@ def random_state(size: int, seed: int) -> hw.StateVector:
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     return hw.StateVector(amps / np.linalg.norm(amps))
+
+
+def pipeline(hg):
+    """Transition system and walk operator of a hypergraph."""
+    ts = hw.build_transitions(hg)
+    return ts, hw.build_walk(ts)
+
+
+def vertex_isometry(walk) -> np.ndarray:
+    """Dense N x n view of A: sqrt(p_ve) at row p, column v_p."""
+    a = np.zeros((walk.size, walk.hypergraph.n))
+    a[np.arange(walk.size), walk.hypergraph.pair_v] = walk.vertex_weights
+    return a
+
+
+def edge_isometry(walk) -> np.ndarray:
+    """Dense N x m view of B: sqrt(p_ev) at row p, column e_p."""
+    b = np.zeros((walk.size, walk.hypergraph.m))
+    b[np.arange(walk.size), walk.hypergraph.pair_e] = walk.edge_weights
+    return b

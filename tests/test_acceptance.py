@@ -10,7 +10,15 @@ from contextlib import contextmanager
 import numpy as np
 
 import hyperwalk as hw
-from conftest import random_state, single_edge, six_by_four, triangle
+from conftest import (
+    edge_isometry,
+    pipeline,
+    random_state,
+    single_edge,
+    six_by_four,
+    triangle,
+    vertex_isometry,
+)
 
 
 @contextmanager
@@ -48,7 +56,7 @@ def test_degree_handshake_200_instances():
             profile = hw.degree_profile(hg)
             total_v = int(profile.vertex_degrees.sum())
             total_e = int(profile.edge_degrees.sum())
-            size = hw.build_pair_space(hg).size
+            size = pipeline(hg)[1].size
             assert total_v == total_e == size == n * d == m * k
             seen_k.add(k)
             seen_d.add(d)
@@ -67,10 +75,8 @@ def test_row_stochasticity():
 def test_isometry_property():
     with criterion("isometry"):
         for hg in acceptance_battery():
-            ts = hw.build_transitions(hg)
-            ps = hw.build_pair_space(hg)
-            iso = hw.build_isometries(hg, ts, ps)
-            a, b = iso.vertex_isometry, iso.edge_isometry
+            _, walk = pipeline(hg)
+            a, b = vertex_isometry(walk), edge_isometry(walk)
             assert np.abs(a.T @ a - np.eye(hg.n)).max() <= 1e-12
             assert np.abs(b.T @ b - np.eye(hg.m)).max() <= 1e-12
 
@@ -78,13 +84,10 @@ def test_isometry_property():
 def test_walk_orthogonality():
     with criterion("walk-orthogonality"):
         for hg in acceptance_battery():
-            ts = hw.build_transitions(hg)
-            ps = hw.build_pair_space(hg)
-            if ps.size > 512:
+            _, walk = pipeline(hg)
+            if walk.size > 512:
                 continue
-            iso = hw.build_isometries(hg, ts, ps)
-            walk = hw.build_walk(iso)
-            assert np.abs(walk.dense.T @ walk.dense - np.eye(ps.size)).max() <= 1e-10
+            assert np.abs(walk.dense.T @ walk.dense - np.eye(walk.size)).max() <= 1e-10
 
 
 def test_singular_values_bounded():
@@ -113,16 +116,13 @@ def test_spectral_prediction_end_to_end():
 def test_single_hyperedge_pins():
     with criterion("single-hyperedge-pins"):
         hg = single_edge()
-        ts = hw.build_transitions(hg)
-        ps = hw.build_pair_space(hg)
-        iso = hw.build_isometries(hg, ts, ps)
-        walk = hw.build_walk(iso)
+        _, walk = pipeline(hg)
         grover = 2 * np.ones((3, 3)) / 3 - np.eye(3)
         assert np.abs(walk.dense - grover).max() <= 1e-14
-        spectrum = np.sort(hw.brute_force_spectrum(walk).eigenvalues.real)
+        spectrum = np.sort(hw.brute_force_spectrum(walk).real)
         np.testing.assert_allclose(spectrum, [-1.0, -1.0, 1.0], atol=1e-12)
-        stepped = hw.apply_walk(walk, hw.basis_pair_state(ps, 0, 0))
-        marginal = hw.vertex_distribution(ps, stepped).probabilities
+        stepped = hw.apply_walk(walk, hw.basis_pair_state(hg, 0, 0))
+        marginal = hw.vertex_distribution(hg, stepped).probabilities
         np.testing.assert_allclose(marginal, [1 / 9, 4 / 9, 4 / 9], atol=1e-12)
 
 
@@ -143,15 +143,13 @@ def test_triangle_pins():
 def test_invariant_subspace_relations():
     with criterion("invariant-subspace-relations"):
         for hg in seeded_instances(20, seed=1004):
-            ts = hw.build_transitions(hg)
-            ps = hw.build_pair_space(hg)
-            iso = hw.build_isometries(hg, ts, ps)
+            ts, walk = pipeline(hg)
             svd = hw.full_svd(hw.discriminant(ts))
-            a_mu = iso.vertex_isometry @ svd.left_vectors
-            b_nu = iso.edge_isometry @ svd.right_vectors
+            a_mu = vertex_isometry(walk) @ svd.left_vectors
+            b_nu = edge_isometry(walk) @ svd.right_vectors
             r = svd.singular_values.size
-            w_a = hw.walk_action(iso, a_mu[:, :r])
-            w_b = hw.walk_action(iso, b_nu[:, :r])
+            w_a = hw.walk_action(walk, a_mu[:, :r])
+            w_b = hw.walk_action(walk, b_nu[:, :r])
             for idx, s in enumerate(svd.singular_values):
                 assert np.abs(w_a[:, idx] - (2 * s * b_nu[:, idx] - a_mu[:, idx])).max() <= 1e-10
                 rhs = (4 * s**2 - 1) * b_nu[:, idx] - 2 * s * a_mu[:, idx]
@@ -163,12 +161,9 @@ def test_norm_conservation_long_runs():
         instances = [hw.random_regular_uniform(400, 500, 4, 5, seed=2001)]
         instances += seeded_instances(9, seed=1005, max_n=400, max_pairs=2000)
         for hg in instances:
-            ts = hw.build_transitions(hg)
-            ps = hw.build_pair_space(hg)
-            assert ps.size <= 2000
-            iso = hw.build_isometries(hg, ts, ps)
-            walk = hw.build_walk(iso)
-            psi = hw.evolve(walk, random_state(ps.size, seed=ps.size), 1000)
+            _, walk = pipeline(hg)
+            assert walk.size <= 2000
+            psi = hw.evolve(walk, random_state(walk.size, seed=walk.size), 1000)
             assert abs(psi.norm - 1.0) <= 1e-9
 
 

@@ -149,6 +149,9 @@ def test_distribution_validation():
         hw.Distribution(np.array([0.7, 0.4]))
     with pytest.raises(ValueError):
         hw.Distribution(np.array([1.2, -0.2]))
+    for probabilities in ([np.nan, 0.5], [np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError):
+            hw.Distribution(np.array(probabilities))
 
 
 def test_trajectory_zero_steps():

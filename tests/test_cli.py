@@ -236,6 +236,12 @@ def test_fuzz_single_instance(capsys):
     assert doc["passed"] == 1
 
 
+def test_fuzz_infeasible_caps_exit_code(monkeypatch):
+    assert main(["fuzz", "--count", "1", "--max-n", "1"]) == 2
+    monkeypatch.setenv(hw.DENSE_CAP_ENV, "1")
+    assert main(["fuzz", "--count", "1"]) == 2
+
+
 def test_fuzz_reproducible_per_seed(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

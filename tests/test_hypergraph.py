@@ -162,6 +162,15 @@ def test_generator_rejects_infeasible_parameters():
         hw.random_regular_uniform(2, 2, 3, 3, seed=0)
 
 
+def test_feasible_parameters_reject_caps_no_draw_fits():
+    # k >= 2 needs max_n >= 2 and max_pairs >= 2; below that no draw can
+    # succeed, so the error comes before any draw.
+    for max_n, max_pairs in [(1, 512), (0, 512), (60, 1)]:
+        with pytest.raises(hw.InfeasibleParametersError):
+            hw.random_feasible_parameters(np.random.default_rng(0), max_n=max_n, max_pairs=max_pairs)
+    assert hw.random_feasible_parameters(np.random.default_rng(0), max_n=2, max_pairs=2) == (2, 1, 2, 1)
+
+
 def test_generator_handles_dense_degree_corner():
     # k = d = 5 makes plain reject-and-reshuffle essentially never accept.
     hg = hw.random_regular_uniform(25, 25, 5, 5, seed=3)
