@@ -19,7 +19,8 @@ print(disc)
 
 svd = hw.full_svd(disc)
 print("singular values:", np.round(svd.singular_values, 12))
-print("classification:", hw.classify_singular_values(svd.singular_values, tol=1e-9))
+# One unit singular value per connected component: the triangle has one.
+print("classification:", hw.classify_singular_values(svd.singular_values, units=1, tol=1e-9))
 
 # sigma = 1 contributes one +1 eigenvalue; each interior sigma = 1/2
 # (theta = pi/3) contributes the conjugate pair exp(+/- 2*pi*i/3); the

@@ -22,7 +22,7 @@ from .hypergraph import Hypergraph, degree_profile, scatter
 _DIST_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionSystem:
     """p_ve[i] = 1/d(v) and p_ev[i] = 1/|e| at the hypergraph's i-th pair (v, e).
 
@@ -60,7 +60,7 @@ class TransitionSystem:
         return self.edge_to_vertex @ self.vertex_to_edge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability vector over vertices or hyperedges."""
 

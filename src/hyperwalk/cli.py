@@ -15,15 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .classical import Distribution, build_transitions, classical_step
-from .errors import (
-    EmptyEdgeError,
-    GenerationFailedError,
-    HgSyntaxError,
-    IndexOutOfRangeError,
-    InfeasibleParametersError,
-    InvalidToleranceError,
-    IsolatedVertexError,
-)
+from .errors import HyperwalkError
 from .hypergraph import (
     degree_profile,
     is_connected,
@@ -45,17 +37,6 @@ from .spectral import (
     TOL_CEILING,
     VERIFY_TOL_DEFAULT,
     analyze,
-)
-
-_USAGE_ERRORS = (
-    EmptyEdgeError,
-    GenerationFailedError,
-    HgSyntaxError,
-    IndexOutOfRangeError,
-    InfeasibleParametersError,
-    InvalidToleranceError,
-    IsolatedVertexError,
-    ValueError,
 )
 
 
@@ -333,7 +314,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (HyperwalkError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

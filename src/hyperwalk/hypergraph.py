@@ -46,7 +46,7 @@ def _first_absent(index: np.ndarray, count: int) -> int | None:
     return int(gaps[0]) if gaps.size else (present.size if present.size < count else None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph:
     """Immutable hypergraph: n, m and the incident pairs, validated, read-only, sorted by (v, e)."""
 
@@ -103,7 +103,7 @@ class Hypergraph:
         return [edge.tolist() for edge in np.split(self.pair_v[edge_order], edge_starts[1:])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DegreeProfile:
     """Vertex degrees and hyperedge sizes, with regularity flags.
 
@@ -142,12 +142,12 @@ def degree_profile(hg: Hypergraph) -> DegreeProfile:
     return DegreeProfile(vertex_degrees, edge_degrees, d, k)
 
 
-def is_connected(hg: Hypergraph) -> bool:
-    """True when the bipartite incidence graph is a single component.
+def component_count(hg: Hypergraph) -> int:
+    """Number of connected components of the bipartite incidence graph.
 
     Each root hooks onto the smallest root across a shared hyperedge, then
     pointer jumping flattens the chains; no hyperedge is empty, so the
-    vertices alone decide connectivity."""
+    vertices alone decide the components."""
     root = np.arange(hg.n)
     while True:
         edge_min = np.full(hg.m, hg.n)
@@ -157,8 +157,13 @@ def is_connected(hg: Hypergraph) -> bool:
         while not np.array_equal(hooked, hooked[hooked]):
             hooked = hooked[hooked]
         if np.array_equal(hooked, root):
-            return bool((root == 0).all())
+            return int(np.count_nonzero(root == np.arange(hg.n)))
         root = hooked
+
+
+def is_connected(hg: Hypergraph) -> bool:
+    """True when the bipartite incidence graph is a single component."""
+    return component_count(hg) == 1
 
 
 def _repair_pairing(rng, stub_v, stub_e):
@@ -260,8 +265,8 @@ def parse(text: str) -> Hypergraph:
                 n = int(tokens[1])
             except ValueError:
                 raise HgSyntaxError(lineno, f"vertex count {tokens[1]!r} is not an integer") from None
-            if n < 1:
-                raise HgSyntaxError(lineno, f"vertex count must be >= 1, got {n}")
+            if not 1 <= n < 2**63:
+                raise HgSyntaxError(lineno, f"vertex count must be in [1, 2**63), got {n}")
             continue
         try:
             members = [int(tok) for tok in tokens]

@@ -63,7 +63,7 @@ def _sharing(rows: np.ndarray, order: np.ndarray, starts: np.ndarray, group: np.
     return at, order[bounds[g][at] + offset]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkOperator:
     """One walk step on the hypergraph's incident pairs.
 
@@ -115,7 +115,7 @@ class WalkOperator:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Unit-norm complex amplitude vector over the pair basis."""
 

@@ -18,7 +18,7 @@ walk's full eigensystem follows from the singular values alone:
   * the |n - m| unpaired singular vectors on the larger side: eigenvalue -1
     each (their image under the opposite projector vanishes);
   * the orthogonal complement of both reflection subspaces: eigenvalue +1,
-    with dimension N - (n + m - #unit).
+    with dimension N - (n + m - c).
 
 The complement is the cycle space of the bipartite incidence graph (pairs
 as its edges). Since sqrt(p_ve) is constant over a vertex's pairs, x is
@@ -27,31 +27,30 @@ vertex's pairs, and likewise for B over every hyperedge's pairs: a signed
 cycle that steps +1 along each pair it crosses vertex -> hyperedge and -1
 along each pair it crosses hyperedge -> vertex has exactly these zero sums.
 The fundamental cycles of a breadth-first spanning forest form a basis of
-dimension N - n - m + c, with c the number of connected components, which
-is N - (n + m - #unit) when the unit tags are the c exact unit singular
-values. A classification that disagrees with c still yields N eigenvalues:
-with fewer unit tags the first N - n - m + #unit cycles are used, and each
-surplus unit tag also contributes B nu as a +1 vector, whose residual then
-shows the misclassification.
+dimension N - n - m + c, with c the number of connected components. The
+discriminant is block-diagonal over the components with exactly one unit
+singular value per block, so the c largest singular values are tagged unit
+by construction, however rounding left them; only the null tags are read
+against a tolerance.
 
-Multiplicities always total N, whatever the classification. Verification
-pairs the predicted multiset against the eigenvalues of the dense walk
-matrix, scattered from the pair lists independently of walk_action (no
-eigenvectors are computed there), and checks every predicted eigenvector's
-walk_action residual, on column blocks that are built from per-eigenvalue
-recipes and dropped in turn.
+Multiplicities total N. Verification pairs the predicted multiset against
+the eigenvalues of the dense walk matrix, scattered from the pair lists
+independently of walk_action (no eigenvectors are computed there), and
+checks every predicted eigenvector's walk_action residual, on column blocks
+that are built from per-eigenvalue recipes and dropped in turn.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .classical import TransitionSystem, build_transitions
 from .errors import CountMismatchError, InvalidToleranceError
-from .hypergraph import Hypergraph, degree_profile, scatter
+from .hypergraph import Hypergraph, component_count, degree_profile, scatter
 from .operators import WalkOperator, build_walk, dense_cap, walk_action
 
 CLASSIFY_TOL_DEFAULT = 1e-9
@@ -68,7 +67,7 @@ def _check_tolerance(tol: float) -> float:
     return float(tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdResult:
     """Full singular value decomposition with complete orthogonal bases.
 
@@ -82,28 +81,57 @@ class SvdResult:
     right_vectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigenvectorColumns:
-    """How each predicted eigenvector is built; no column is stored.
+@dataclass(frozen=True, eq=False)
+class SpectrumPrediction:
+    """Predicted eigenvalue multiset of the walk operator, and how to build its eigenvectors.
 
     One recipe per eigenvalue, (kind, idx, phase, scale): "A mu" is column
     idx of A U, "B nu" column idx of B V, "interior" is
     (A mu - phase B nu) / scale at idx, and "cycle" is column idx of the
-    cycle basis divided by scale. A and B have one nonzero per row, so
-    A mu and B nu are row gathers of single SVD columns.
+    cycle basis, normalised. A and B have one nonzero per row, so A mu and
+    B nu are row gathers of single SVD columns. No column is stored:
+    eigenvectors builds the N x N matrix of unit eigenvectors on each
+    access, and residuals streams the columns through the walk on first
+    access.
     """
 
+    eigenvalues: np.ndarray
+    classification: tuple[str, ...]
+    notes: tuple[str, ...]
     svd: SvdResult
     walk: WalkOperator
     recipes: tuple[tuple[str, int, complex, float], ...]
 
-    def block(self, columns: slice, cycles: np.ndarray) -> np.ndarray:
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._block(slice(None), cycle_basis(self.walk.hypergraph))
+
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """The walk_action residual ||W x - lambda x|| of every eigenvector x."""
+        cycles = cycle_basis(self.walk.hypergraph)
+        residuals = np.empty(self.eigenvalues.size)
+        # Each column block is built, checked and dropped, so the temporaries
+        # stay N x _RESIDUAL_BLOCK.
+        for j in range(0, self.eigenvalues.size, _RESIDUAL_BLOCK):
+            block = slice(j, j + _RESIDUAL_BLOCK)
+            x = self._block(block, cycles)
+            residuals[block] = np.linalg.norm(
+                walk_action(self.walk, x) - x * self.eigenvalues[block], axis=0
+            )
+        return residuals
+
+    @property
+    def max_residual(self) -> float:
+        return float(self.residuals.max(initial=0.0))
+
+    def _block(self, columns: slice, cycles: np.ndarray) -> np.ndarray:
         """The selected eigenvectors as a complex N x len matrix; cycles is cycle_basis(hypergraph)."""
         recipes = self.recipes[columns]
         out = np.empty((self.walk.size, len(recipes)), dtype=np.complex128)
         for col, (kind, idx, phase, scale) in enumerate(recipes):
             if kind == "cycle":
-                out[:, col] = cycles[:, idx] / scale
+                out[:, col] = cycles[:, idx] / np.sqrt(np.count_nonzero(cycles[:, idx]))
             elif kind == "A mu":
                 out[:, col] = self._a_mu(idx)
             elif kind == "B nu":
@@ -120,35 +148,6 @@ class EigenvectorColumns:
 
 
 @dataclass(frozen=True)
-class SpectrumPrediction:
-    """Predicted eigenvalue multiset (and eigenvectors) of the walk operator.
-
-    eigenvectors is the N x N complex matrix of unit eigenvectors, one column
-    per eigenvalue, built from the recipes in columns on each access. It is
-    None, and so are residuals and columns, when the prediction was made
-    with with_vectors=False.
-    """
-
-    eigenvalues: np.ndarray
-    classification: tuple[str, ...]
-    residuals: np.ndarray | None
-    notes: tuple[str, ...]
-    columns: EigenvectorColumns | None = None
-
-    @property
-    def eigenvectors(self) -> np.ndarray | None:
-        if self.columns is None:
-            return None
-        return self.columns.block(slice(None), cycle_basis(self.columns.walk.hypergraph))
-
-    @property
-    def max_residual(self) -> float | None:
-        if self.residuals is None:
-            return None
-        return float(self.residuals.max(initial=0.0))
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of matching a prediction against brute-force eigenvalues."""
 
@@ -157,7 +156,7 @@ class Verdict:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralReport:
     """Full verification document for one hypergraph instance."""
 
@@ -215,12 +214,10 @@ def full_svd(disc: np.ndarray) -> SvdResult:
     return SvdResult(singular_values=sigma, left_vectors=left, right_vectors=right_t.T)
 
 
-def classify_singular_values(sigma: np.ndarray, tol: float) -> tuple[str, ...]:
-    """Tag each singular value as unit (>= 1 - tol), null (<= tol) or interior."""
+def classify_singular_values(sigma: np.ndarray, units: int, tol: float) -> tuple[str, ...]:
+    """Tag the first units values (the largest) as unit, each of the rest null (<= tol) or interior."""
     tol = _check_tolerance(tol)
-    return tuple(
-        "unit" if s >= 1.0 - tol else ("null" if s <= tol else "interior") for s in sigma
-    )
+    return ("unit",) * units + tuple("null" if s <= tol else "interior" for s in sigma[units:])
 
 
 def cycle_basis(hg: Hypergraph) -> np.ndarray:
@@ -288,24 +285,22 @@ def predict_spectrum(
     svd: SvdResult,
     walk: WalkOperator,
     tol: float = CLASSIFY_TOL_DEFAULT,
-    with_vectors: bool = True,
 ) -> SpectrumPrediction:
     """Assemble the predicted eigensystem of the walk from the discriminant's SVD.
 
-    With with_vectors=True (the default) each eigenvalue is recorded with
-    the recipe of its unit eigenvector (see EigenvectorColumns), the +1
-    complement spanned by normalised fundamental cycles (see cycle_basis).
-    The walk_action residual of every eigenvector is computed on column
-    blocks built from the recipes and dropped in turn, so no N x N matrix is
-    formed; the eigenvectors are built again on access. With
-    with_vectors=False only the eigenvalues are assembled, from the tags
-    alone.
+    Each eigenvalue is recorded with the recipe of its unit eigenvector (see
+    SpectrumPrediction); the c largest singular values, c the number of
+    components, are the unit ones, and the +1 complement is spanned by the
+    N - n - m + c normalised fundamental cycles (see cycle_basis). Nothing
+    of size N x N is formed here, and the cycles are found only when an
+    eigenvector is built.
     """
     tol = _check_tolerance(tol)
     hg = walk.hypergraph
     size, n, m = walk.size, hg.n, hg.m
     sigma = svd.singular_values
-    tags = classify_singular_values(sigma, tol)
+    components = component_count(hg)
+    tags = classify_singular_values(sigma, components, tol)
 
     values: list[complex] = []
     recipes: list[tuple[str, int, complex, float]] = []
@@ -343,42 +338,15 @@ def predict_spectrum(
         notes.append(f"{m - n} unpaired edge-side directions assigned eigenvalue -1")
 
     # Everything orthogonal to both isometry ranges is fixed by the walk.
-    n_unit = tags.count("unit")
-    complement_dim = size - (n + m - n_unit)
-    if not with_vectors:
-        values.extend([1.0 + 0.0j] * complement_dim)
-        return SpectrumPrediction(
-            eigenvalues=np.asarray(values, dtype=np.complex128),
-            classification=tags,
-            residuals=None,
-            notes=tuple(notes),
-        )
-
-    cycles = cycle_basis(hg)
-    components = cycles.shape[1] - (size - n - m)
-    for j, count in enumerate(np.count_nonzero(cycles[:, : max(complement_dim, 0)], axis=0)):
-        emit(1.0 + 0.0j, "cycle", j, scale=np.sqrt(count))
-    # Unit tags beyond the c exact unit singular values stand in for
-    # cycles that do not exist. B nu fills each, and its residual is
-    # nonzero unless sigma really is 1.
-    for idx in range(components, n_unit):
-        emit(1.0 + 0.0j, "B nu", idx)
-
-    eigenvalues = np.asarray(values, dtype=np.complex128)
-    columns = EigenvectorColumns(svd, walk, tuple(recipes))
-    residuals = np.empty(eigenvalues.size)
-    # Each column block is built, checked and dropped, so the temporaries
-    # stay N x _RESIDUAL_BLOCK.
-    for j in range(0, eigenvalues.size, _RESIDUAL_BLOCK):
-        block = slice(j, j + _RESIDUAL_BLOCK)
-        x = columns.block(block, cycles)
-        residuals[block] = np.linalg.norm(walk_action(walk, x) - x * eigenvalues[block], axis=0)
+    for j in range(size - n - m + components):
+        emit(1.0 + 0.0j, "cycle", j)
     return SpectrumPrediction(
-        eigenvalues=eigenvalues,
+        eigenvalues=np.asarray(values, dtype=np.complex128),
         classification=tags,
-        residuals=residuals,
         notes=tuple(notes),
-        columns=columns,
+        svd=svd,
+        walk=walk,
+        recipes=tuple(recipes),
     )
 
 
@@ -426,8 +394,6 @@ def verify(
 ) -> Verdict:
     """Match prediction against brute-force eigenvalues and check residuals."""
     tol = _check_tolerance(tol)
-    if prediction.residuals is None:
-        raise ValueError("prediction carries no eigenvectors; rerun with with_vectors=True")
     distance = pairing_distance(prediction.eigenvalues, actual)
     max_residual = prediction.max_residual
     return Verdict(
@@ -452,11 +418,11 @@ def analyze(
     ts = build_transitions(hg)
     walk = build_walk(ts)
     svd = full_svd(discriminant(ts))
+    prediction = predict_spectrum(svd, walk, tol=classify_tol)
     verifiable = walk.size <= dense_cap()
-    # The oracle runs first, so the dense walk matrix is freed before the
-    # prediction builds its eigenvector blocks for the residuals.
+    # The oracle runs before verify reads the residuals, so the dense walk
+    # matrix is freed before any eigenvector block is built.
     actual = brute_force_spectrum(walk) if verifiable else None
-    prediction = predict_spectrum(svd, walk, tol=classify_tol, with_vectors=verifiable)
     profile = degree_profile(hg)
     if verifiable:
         verdict = verify(prediction, actual, tol=verify_tol)

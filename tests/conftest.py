@@ -53,6 +53,21 @@ def battery(seed: int = 2024):
     return [single_edge(), triangle(), six_by_four()] + random_instances(12, seed)
 
 
+def union_find_components(hg) -> int:
+    """Connected components of the incidence graph, by union-find over the pairs."""
+    parent = list(range(hg.n + hg.m))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for v, e in zip(hg.pair_v.tolist(), hg.pair_e.tolist()):
+        parent[find(v)] = find(hg.n + e)
+    return len({find(x) for x in range(hg.n + hg.m)})
+
+
 def random_state(size: int, seed: int) -> hw.StateVector:
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
+import hyperwalk.cli
 from hyperwalk.cli import _series_lines, main
 from conftest import cycle, single_edge, triangle
 
@@ -89,12 +90,15 @@ def test_info_parse_error_exit_code(tmp_path, capsys):
 
 def test_info_huge_vertex_count_exit_code(tmp_path, capsys):
     # Every vertex needs a pair, so a count beyond N is rejected before
-    # anything that large is allocated.
+    # anything that large is allocated; a count beyond int64 is a syntax
+    # error in the header.
     path = tmp_path / "huge.hg"
-    path.write_text("n 1000000000000000\n0 1\n")
-    assert main(["info", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    for text in ("n 1000000000000000\n0 1\n", "n 99999999999999999999999\n0 99999999999999999999998\n"):
+        path.write_text(text)
+        assert main(["info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: line 1: vertex count")
 
 
 def test_info_missing_file_exit_code(tmp_path):
@@ -180,11 +184,14 @@ def test_spectrum_triangle_report(triangle_file, capsys):
 
 
 def test_spectrum_single_edge_report(single_edge_file, capsys):
-    assert main(["spectrum", single_edge_file]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["verdict"] == "pass"
-    multiplicities = {round(entry["re"], 6): entry["multiplicity"] for entry in doc["predicted"]}
-    assert multiplicities == {1.0: 1, -1.0: 2}
+    # The top singular value comes out as 1 - 1.1e-16; it is unit at any
+    # classify_tol because the single edge is one component.
+    for extra in ([], ["--classify-tol", "1e-17"]):
+        assert main(["spectrum", single_edge_file, *extra]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["verdict"] == "pass"
+        multiplicities = {round(entry["re"], 6): entry["multiplicity"] for entry in doc["predicted"]}
+        assert multiplicities == {1.0: 1, -1.0: 2}
 
 
 def test_spectrum_bad_tolerance_exit_code(triangle_file):
@@ -199,14 +206,15 @@ def test_spectrum_tolerance_ceiling_boundary(triangle_file):
         assert main(["spectrum", triangle_file, flag, "1.0001e-3"]) == 2
 
 
-def test_spectrum_surplus_unit_tags_exit_code(tmp_path, capsys):
-    # A loose classify_tol tags near-1 interior values of the 200-cycle as
-    # unit; the report keeps all 400 eigenvalues and fails verification.
+def test_spectrum_loose_classify_tol_exit_code(tmp_path, capsys):
+    # A loose classify_tol leaves the near-1 interior values of the
+    # 200-cycle interior: only the top one, for its one component, is unit.
     path = tmp_path / "cycle.hg"
     path.write_text(hw.serialize(cycle(200)))
-    assert main(["spectrum", str(path), "--classify-tol", "1e-3"]) == 1
+    assert main(["spectrum", str(path), "--classify-tol", "1e-3"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["verdict"] == "fail"
+    assert doc["verdict"] == "pass"
+    assert doc["classification"].count("unit") == 1
     assert sum(entry["multiplicity"] for entry in doc["predicted"]) == doc["N"] == 400
     assert main(["spectrum", str(path)]) == 0
 
@@ -217,6 +225,18 @@ def test_spectrum_unverified_above_cap(triangle_file, capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "unverified"
     assert doc["actual"] is None
+
+
+@pytest.mark.parametrize(
+    "error", [hw.CountMismatchError, hw.DimensionMismatchError, hw.DimensionTooLargeError]
+)
+def test_every_library_error_exits_two(triangle_file, capsys, monkeypatch, error):
+    def failing(*args, **kwargs):
+        raise error("raised on purpose")
+
+    monkeypatch.setattr(hyperwalk.cli, "analyze", failing)
+    assert main(["spectrum", triangle_file]) == 2
+    assert capsys.readouterr().err == "error: raised on purpose\n"
 
 
 def test_fuzz_campaign_passes(tmp_path):

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from conftest import FIG1_PARAMS, random_instances, single_edge, six_by_four, triangle
+from conftest import (
+    FIG1_PARAMS,
+    pipeline,
+    random_instances,
+    random_state,
+    single_edge,
+    six_by_four,
+    triangle,
+    union_find_components,
+)
+from hyperwalk.hypergraph import component_count
 
 
 def test_single_edge_incidence():
@@ -203,6 +213,8 @@ def test_parse_rejects_missing_header():
 def test_parse_rejects_bad_tokens():
     with pytest.raises(hw.HgSyntaxError):
         hw.parse("n 3\n0 x 2\n")
+    with pytest.raises(hw.HgSyntaxError, match="line 1"):
+        hw.parse(f"n {2**63}\n0 1\n")
 
 
 def test_parse_rejects_out_of_range_vertex():
@@ -254,3 +266,34 @@ def test_is_connected_matches_breadth_first_search():
     path = [{v, v + 1} for v in reversed(range(n - 1))]
     assert hw.is_connected(hw.from_edge_lists(n, path))
     assert not hw.is_connected(hw.from_edge_lists(n, path[:1000] + path[1001:]))
+
+
+def test_component_count_matches_union_find():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        edges = [set(rng.integers(0, n, size=int(rng.integers(1, 4))).tolist()) for _ in range(n // 2 + 1)]
+        edges += [{v} for v in set(range(n)) - set().union(*edges)]
+        hg = hw.from_edge_lists(n, edges)
+        assert component_count(hg) == union_find_components(hg)
+    n = 5000
+    path = [{v, v + 1} for v in reversed(range(n - 1))]
+    assert component_count(hw.from_edge_lists(n, path[:1000] + path[1001:])) == 2
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    # Field-wise equality would compare arrays as a tuple and raise; these
+    # objects compare and hash by identity instead.
+    hg, twin = single_edge(), single_edge()
+    ts, walk = pipeline(hg)
+    report = hw.analyze(hg)
+    prediction = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+    objects = [
+        hg, hw.degree_profile(hg), ts, hw.stationary_distribution(ts), walk,
+        random_state(walk.size, seed=1), prediction.svd, prediction, report,
+    ]
+    for obj in objects:
+        assert obj == obj and obj in [obj]
+        assert hash(obj) == hash(obj)
+    assert hg != twin and twin not in [hg]
+    assert len({hg, twin, walk}) == 3

@@ -19,6 +19,7 @@ from conftest import (
     single_edge,
     six_by_four,
     triangle,
+    union_find_components,
     vertex_isometry,
 )
 from hyperwalk.spectral import cycle_basis
@@ -105,15 +106,20 @@ def test_singular_values_bounded_and_top_is_one():
 
 
 def test_classification_tags():
-    tags = hw.classify_singular_values(np.array([1.0, 0.5, 1e-12, 1.0 - 1e-12]), tol=1e-9)
-    assert tags == ("unit", "interior", "null", "unit")
+    # The unit tags are the first `units` values, whatever the tolerance;
+    # a value just below 1 beyond them is interior.
+    sigma = np.array([1.0 - 1.1e-16, 1.0 - 1e-12, 0.5, 1e-12])
+    tags = ("unit", "interior", "interior", "null")
+    assert hw.classify_singular_values(sigma, units=1, tol=1e-9) == tags
+    assert hw.classify_singular_values(sigma, units=1, tol=1e-17) == tags[:3] + ("interior",)
+    assert hw.classify_singular_values(sigma, units=2, tol=1e-3)[:2] == ("unit", "unit")
 
 
 def test_classification_rejects_bad_tolerance():
     with pytest.raises(hw.InvalidToleranceError):
-        hw.classify_singular_values(np.array([0.5]), tol=0.5)
+        hw.classify_singular_values(np.array([0.5]), units=0, tol=0.5)
     with pytest.raises(hw.InvalidToleranceError):
-        hw.classify_singular_values(np.array([0.5]), tol=0.0)
+        hw.classify_singular_values(np.array([0.5]), units=0, tol=0.0)
 
 
 def test_predicted_multiset_single_edge():
@@ -143,7 +149,7 @@ def test_predicted_multiset_triangle():
 def test_predicted_multiplicities_sum_to_dimension():
     for hg in battery():
         ts, walk = pipeline(hg)
-        pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk, with_vectors=False)
+        pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
         assert pred.eigenvalues.size == walk.size
 
 
@@ -250,21 +256,6 @@ def test_generic_counts_synthetic_wide_case():
     assert_count_rule(hw.random_regular_uniform(4, 8, 2, 4, seed=46))
 
 
-def component_count(hg):
-    """Connected components of the incidence graph, by union-find over the pairs."""
-    parent = list(range(hg.n + hg.m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v, e in zip(hg.pair_v.tolist(), hg.pair_e.tolist()):
-        parent[find(v)] = find(hg.n + e)
-    return len({find(x) for x in range(hg.n + hg.m)})
-
-
 @pytest.mark.parametrize("n, edges, units", IRREGULAR)
 def test_irregular_instances(n, edges, units):
     # Outside the regular uniform family the isometry weights differ from
@@ -285,19 +276,15 @@ def test_cycle_basis_spans_the_complement():
     for hg in instances:
         ts, walk = pipeline(hg)
         basis = cycle_basis(hg)
-        assert basis.shape == (walk.size, walk.size - hg.n - hg.m + component_count(hg))
+        assert basis.shape == (walk.size, walk.size - hg.n - hg.m + union_find_components(hg))
         assert set(np.unique(basis).tolist()) <= {-1.0, 0.0, 1.0}
         for column in basis.T:
             assert not np.bincount(hg.pair_v, weights=column, minlength=hg.n).any()
             assert not np.bincount(hg.pair_e, weights=column, minlength=hg.m).any()
         assert np.linalg.matrix_rank(basis) == basis.shape[1]
-        svd = hw.full_svd(hw.discriminant(ts))
-        pred = hw.predict_spectrum(svd, walk)
+        pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+        assert sum(kind == "cycle" for kind, *_ in pred.recipes) == basis.shape[1]
         assert np.abs(np.linalg.norm(pred.eigenvectors, axis=0) - 1.0).max() <= 1e-12
-        values_only = hw.predict_spectrum(svd, walk, with_vectors=False)
-        np.testing.assert_array_equal(
-            np.sort_complex(pred.eigenvalues), np.sort_complex(values_only.eigenvalues)
-        )
 
 
 STREAMED = [
@@ -308,7 +295,7 @@ STREAMED = [
     pytest.param(lambda: hw.random_regular_uniform(128, 64, 4, 2, seed=48), 1e-9, id="N256"),
     pytest.param(lambda: hw.random_regular_uniform(300, 200, 3, 2, seed=49), 1e-9, id="N600"),
     pytest.param(lambda: hw.random_regular_uniform(100, 150, 2, 3, seed=50), 1e-9, id="N300-wide"),
-    pytest.param(lambda: cycle(200), 1e-3, id="cycle200-surplus-unit-tags"),
+    pytest.param(lambda: cycle(200), 1e-3, id="cycle200-classify-tol-1e-3"),
 ]
 
 
@@ -326,14 +313,13 @@ def test_streamed_residuals_match_dense_columns(build, classify_tol):
     np.testing.assert_array_equal(pred.eigenvectors, vectors)
     dense = np.linalg.norm(walk.dense @ vectors - vectors * pred.eigenvalues, axis=0)
     assert np.abs(pred.residuals - dense).max() <= 1e-12
-    assert hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk, with_vectors=False).eigenvectors is None
 
 
 def test_oracle_and_prediction_memory_budget():
     # At N = 1200 the dense walk matrix is N^2 * 8 bytes. It is scattered
     # into the result, the only N x N array, from index arrays that stay
     # small even when one hyperedge holds every pair and W has no zero; the
-    # prediction keeps no N x N matrix at all.
+    # residual pass over the prediction keeps no N x N matrix at all.
     hg = hw.random_regular_uniform(600, 400, 3, 2, seed=1)
     ts, walk = pipeline(hg)
     _, crowded = pipeline(hw.from_edge_lists(1200, [range(1200)]))
@@ -352,21 +338,57 @@ def test_oracle_and_prediction_memory_budget():
 
     assert traced_peak(lambda: walk.dense) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: crowded.dense) <= 1.5 * matrix_bytes
-    assert traced_peak(lambda: hw.predict_spectrum(svd, walk)) <= 2 * matrix_bytes
+    assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 2 * matrix_bytes
 
 
-def test_surplus_unit_tags_keep_the_count_and_fail():
+def test_loose_classify_tol_tags_one_unit_and_passes():
     # The 200-cycle has sigma_j = |cos(pi j / 200)| and one component. With
-    # classify_tol=1e-3, sigma_1 and sigma_2 (twice each) are tagged unit
-    # beside the exact sigma_0 = 1: four more unit tags than components, so
-    # four B nu vectors stand in for +1 eigenvectors with a nonzero residual.
+    # classify_tol=1e-3, sigma_1 and sigma_2 (twice each) lie within the
+    # tolerance of 1, but only the c = 1 largest value is unit, so they stay
+    # interior and their eigenvalue pairs exp(+/- 2i theta) verify.
     hg = cycle(200)
     report = hw.analyze(hg, classify_tol=1e-3)
-    assert report.classification.count("unit") == 5
+    assert report.classification.count("unit") == 1
     assert report.predicted.size == report.size == 400
-    assert report.verdict == "fail"
-    assert report.max_residual > 1e-8
-    assert hw.analyze(hg).verdict == "pass"
+    assert report.verdict == "pass"
+    assert report.max_residual <= 1e-8
+    strict = hw.analyze(hg)
+    assert strict.classification == report.classification
+    np.testing.assert_array_equal(strict.predicted, report.predicted)
+
+
+@pytest.mark.parametrize("cap", [None, "2"])
+@pytest.mark.parametrize(
+    "n, edges",
+    [(3, [{0, 1, 2}]), (5, [{0, 1}, {1, 2}, {2, 3}, {3, 4}])],
+    ids=["single-edge", "path5"],
+)
+def test_tight_classify_tol_keeps_the_count(monkeypatch, cap, n, edges):
+    # The top singular value of a tree is 1 up to rounding (1 - 1.1e-16 for
+    # the single edge), so a threshold at 1 - 1e-17 would miss it; the unit
+    # tag comes from the component count instead.
+    if cap is not None:
+        monkeypatch.setenv(hw.DENSE_CAP_ENV, cap)
+    report = hw.analyze(hw.from_edge_lists(n, edges), classify_tol=1e-17)
+    assert report.classification[0] == "unit"
+    assert report.classification.count("unit") == 1
+    assert report.predicted.size == report.size
+    assert report.verdict == ("pass" if cap is None else "unverified")
+
+
+def test_analyze_above_cap_builds_no_cycle_basis(monkeypatch):
+    def forbidden(hg):
+        raise AssertionError("cycle_basis called")
+
+    monkeypatch.setattr(hw.spectral, "cycle_basis", forbidden)
+    ts, walk = pipeline(cycle(5))
+    pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+    assert pred.recipes[-1][0] == "cycle"
+    monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
+    report = hw.analyze(cycle(5))
+    assert report.verdict == "unverified"
+    assert report.predicted.size == report.size == 10
+    assert report.classification.count("unit") == 1
 
 
 def test_analyze_passes_on_random_instances():
