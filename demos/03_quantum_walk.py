@@ -30,7 +30,7 @@ walk = hw.build_walk(hw.build_transitions(triangle))
 
 psi = hw.vertex_superposition(walk, 0)
 print("\ntriangle, starting from the vertex-0 superposition:")
-for t, state in enumerate(hw.evolve(walk, psi, 6, keep_all=True)):
+for t, state in enumerate(hw.evolve(walk, psi, 6)):
     marginal = hw.vertex_distribution(triangle, state).probabilities
     print(f"t={t}: marginal={np.round(marginal, 6)}  norm drift={abs(state.norm - 1.0):.2e}")
 
@@ -46,5 +46,5 @@ walk = hw.build_walk(hw.build_transitions(hg))
 rng = np.random.default_rng(1)
 amps = rng.standard_normal(walk.size) + 1j * rng.standard_normal(walk.size)
 psi = hw.StateVector(amps / np.linalg.norm(amps))
-final = hw.evolve(walk, psi, 1000)
+*_, final = hw.evolve(walk, psi, 1000)
 print(f"\nrandom instance N={walk.size}: norm drift after 1000 steps = {abs(final.norm - 1.0):.2e}")

@@ -16,19 +16,7 @@ from .classical import (
     sample_trajectory,
     stationary_distribution,
 )
-from .errors import (
-    CountMismatchError,
-    DimensionMismatchError,
-    DimensionTooLargeError,
-    EmptyEdgeError,
-    GenerationFailedError,
-    HgSyntaxError,
-    HyperwalkError,
-    IndexOutOfRangeError,
-    InfeasibleParametersError,
-    InvalidToleranceError,
-    IsolatedVertexError,
-)
+from .errors import HgSyntaxError, HyperwalkError
 from .hypergraph import (
     DegreeProfile,
     Hypergraph,
@@ -76,21 +64,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CLASSIFY_TOL_DEFAULT",
-    "CountMismatchError",
     "DENSE_CAP_ENV",
     "DegreeProfile",
-    "DimensionMismatchError",
-    "DimensionTooLargeError",
     "Distribution",
-    "EmptyEdgeError",
-    "GenerationFailedError",
     "HgSyntaxError",
     "Hypergraph",
     "HyperwalkError",
-    "IndexOutOfRangeError",
-    "InfeasibleParametersError",
-    "InvalidToleranceError",
-    "IsolatedVertexError",
     "SpectralReport",
     "SpectrumPrediction",
     "StateVector",

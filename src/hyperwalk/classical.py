@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import HyperwalkError
 from .hypergraph import Hypergraph, degree_profile, scatter
 
 # Hard bound is loose (1e-9): marginals of long evolutions legitimately
@@ -69,12 +69,12 @@ class Distribution:
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=np.float64)
         if p.ndim != 1:
-            raise ValueError("distribution must be a flat vector")
+            raise HyperwalkError("distribution must be a flat vector")
         if p.min(initial=0.0) < 0.0:
-            raise ValueError("negative probability entry")
+            raise HyperwalkError("negative probability entry")
         # Written so that a NaN entry, hence a NaN sum, fails.
         if not abs(p.sum() - 1.0) <= _DIST_SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()!r}, not 1")
+            raise HyperwalkError(f"probabilities sum to {p.sum()!r}, not 1")
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "probabilities", p)
@@ -103,7 +103,7 @@ def stationary_distribution(ts: TransitionSystem, which: str = "vertex") -> Dist
     and this returns the mixture weighting each component by its share of N.
     """
     if which not in ("vertex", "edge"):
-        raise ValueError(f"which must be 'vertex' or 'edge', got {which!r}")
+        raise HyperwalkError(f"which must be 'vertex' or 'edge', got {which!r}")
     profile = degree_profile(ts.hypergraph)
     degrees = profile.vertex_degrees if which == "vertex" else profile.edge_degrees
     return Distribution(degrees / degrees.sum())
@@ -112,7 +112,7 @@ def stationary_distribution(ts: TransitionSystem, which: str = "vertex") -> Dist
 def classical_step(ts: TransitionSystem, dist: Distribution) -> Distribution:
     """One vertex-to-vertex step: mass flows v -> e -> u along the incident pairs."""
     if len(dist) != ts.n:
-        raise DimensionMismatchError(f"distribution has {len(dist)} entries, chain has {ts.n}")
+        raise HyperwalkError(f"distribution has {len(dist)} entries, chain has {ts.n}")
     hg = ts.hypergraph
     flow_ve = dist.probabilities[hg.pair_v] * ts.p_ve
     edge_mass = np.bincount(hg.pair_e, weights=flow_ve, minlength=ts.m)
@@ -146,9 +146,9 @@ def sample_trajectory(ts: TransitionSystem, start_vertex: int, steps: int, seed:
     a fixed seed; length is 2*steps + 1.
     """
     if not 0 <= start_vertex < ts.n:
-        raise DimensionMismatchError(f"start vertex {start_vertex} outside [0, {ts.n})")
+        raise HyperwalkError(f"start vertex {start_vertex} outside [0, {ts.n})")
     if steps < 0:
-        raise ValueError("steps must be >= 0")
+        raise HyperwalkError("steps must be >= 0")
     hg = ts.hypergraph
     vertex_starts, edge_order, edge_starts = hg.segments
     vertex_starts = np.append(vertex_starts, edge_order.size)

@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .classical import Distribution, build_transitions, classical_step
-from .errors import HyperwalkError
 from .hypergraph import (
     degree_profile,
     is_connected,
@@ -25,10 +24,10 @@ from .hypergraph import (
     serialize,
 )
 from .operators import (
-    apply_walk,
     basis_pair_state,
     build_walk,
     dense_cap,
+    evolve,
     vertex_distribution,
     vertex_superposition,
 )
@@ -174,11 +173,8 @@ def _cmd_classical(args) -> int:
 def _cmd_evolve(args) -> int:
     hg = _read_hypergraph(args.file)
     walk = build_walk(build_transitions(hg))
-    psi = _parse_start(args.start, walk)
-    rows = [(0, vertex_distribution(hg, psi).probabilities)]
-    for t in range(1, args.steps + 1):
-        psi = apply_walk(walk, psi)
-        rows.append((t, vertex_distribution(hg, psi).probabilities))
+    states = evolve(walk, _parse_start(args.start, walk), args.steps)
+    rows = [(t, vertex_distribution(hg, psi).probabilities) for t, psi in enumerate(states)]
     _write_lines(args.out, _series_lines(rows, hg.n, args.format))
     return 0
 
@@ -314,7 +310,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (HyperwalkError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

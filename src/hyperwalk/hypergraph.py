@@ -19,14 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    EmptyEdgeError,
-    GenerationFailedError,
-    HgSyntaxError,
-    IndexOutOfRangeError,
-    InfeasibleParametersError,
-    IsolatedVertexError,
-)
+from .errors import HgSyntaxError, HyperwalkError
 
 GENERATOR_RETRY_BUDGET = 1000
 _REPAIR_PASSES = 200
@@ -57,26 +50,26 @@ class Hypergraph:
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
-            raise ValueError("hypergraph needs at least one vertex and one hyperedge")
+            raise HyperwalkError("hypergraph needs at least one vertex and one hyperedge")
         pair_v = np.asarray(self.pair_v, dtype=np.int64)
         pair_e = np.asarray(self.pair_e, dtype=np.int64)
         if pair_v.ndim != 1 or pair_v.shape != pair_e.shape:
-            raise ValueError("pair_v and pair_e must be flat arrays of equal length")
+            raise HyperwalkError("pair_v and pair_e must be flat arrays of equal length")
         bad = np.flatnonzero((pair_v < 0) | (pair_v >= self.n) | (pair_e < 0) | (pair_e >= self.m))
         if bad.size:
             v, e = int(pair_v[bad[0]]), int(pair_e[bad[0]])
-            raise IndexOutOfRangeError(f"pair ({v}, {e}) outside [0, {self.n}) x [0, {self.m})")
+            raise HyperwalkError(f"pair ({v}, {e}) outside [0, {self.n}) x [0, {self.m})")
         order = np.lexsort((pair_e, pair_v))
         pair_v, pair_e = pair_v[order], pair_e[order]
         repeat = np.flatnonzero((pair_v[1:] == pair_v[:-1]) & (pair_e[1:] == pair_e[:-1]))
         if repeat.size:
-            raise ValueError(f"hyperedge {pair_e[repeat[0]]} repeats vertex {pair_v[repeat[0]]}")
+            raise HyperwalkError(f"hyperedge {pair_e[repeat[0]]} repeats vertex {pair_v[repeat[0]]}")
         empty = _first_absent(pair_e, self.m)
         if empty is not None:
-            raise EmptyEdgeError(f"hyperedge {empty} contains no vertices")
+            raise HyperwalkError(f"hyperedge {empty} contains no vertices")
         isolated = _first_absent(pair_v, self.n)
         if isolated is not None:
-            raise IsolatedVertexError(f"vertex {isolated} appears in no hyperedge")
+            raise HyperwalkError(f"vertex {isolated} appears in no hyperedge")
         for name, arr in (("pair_v", pair_v), ("pair_e", pair_e)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -198,13 +191,13 @@ def random_regular_uniform(n: int, m: int, k: int, d: int, seed: int = 0) -> Hyp
     for a fixed seed.
     """
     if min(n, m, k, d) < 1:
-        raise InfeasibleParametersError("infeasible: all of n, m, k, d must be >= 1")
+        raise HyperwalkError("infeasible: all of n, m, k, d must be >= 1")
     if n * d != m * k:
-        raise InfeasibleParametersError(f"infeasible: n*d != m*k ({n * d} != {m * k})")
+        raise HyperwalkError(f"infeasible: n*d != m*k ({n * d} != {m * k})")
     if k > n:
-        raise InfeasibleParametersError(f"infeasible: k > n ({k} > {n})")
+        raise HyperwalkError(f"infeasible: k > n ({k} > {n})")
     if d > m:
-        raise InfeasibleParametersError(f"infeasible: d > m ({d} > {m})")
+        raise HyperwalkError(f"infeasible: d > m ({d} > {m})")
     rng = np.random.default_rng(seed)
     stub_v = np.repeat(np.arange(n), d)
     stub_e = np.repeat(np.arange(m), k)
@@ -213,7 +206,7 @@ def random_regular_uniform(n: int, m: int, k: int, d: int, seed: int = 0) -> Hyp
         if paired is None:
             continue
         return Hypergraph(n, m, stub_v, paired)
-    raise GenerationFailedError(
+    raise HyperwalkError(
         f"no simple incidence structure found for (n={n}, m={m}, k={k}, d={d}) "
         f"within {GENERATOR_RETRY_BUDGET} attempts"
     )
@@ -224,11 +217,11 @@ def random_feasible_parameters(rng, max_n: int = 60, max_pairs: int = 512):
 
     Uses n = t*k, m = t*d so that n*d == m*k holds by construction, with t
     capped so n <= max_n and the pair dimension n*d <= max_pairs. Raises
-    InfeasibleParametersError when no draw can fit, that is when max_n < 2 or
+    HyperwalkError when no draw can fit, that is when max_n < 2 or
     max_pairs < 2.
     """
     if max_n < 2 or max_pairs < 2:
-        raise InfeasibleParametersError(
+        raise HyperwalkError(
             f"infeasible: no k >= 2 fits max_n={max_n} and max_pairs={max_pairs}"
         )
     while True:
@@ -276,7 +269,7 @@ def parse(text: str) -> Hypergraph:
             raise HgSyntaxError(lineno, f"duplicate vertex in hyperedge {line!r}")
         for v in members:
             if not 0 <= v < n:
-                raise IndexOutOfRangeError(f"line {lineno}: vertex {v} outside [0, {n})")
+                raise HgSyntaxError(lineno, f"vertex {v} outside [0, {n})")
         edges.append(members)
     if n is None:
         raise HgSyntaxError(last_line or 1, "missing 'n <count>' header")

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .classical import Distribution, TransitionSystem
-from .errors import DimensionMismatchError, DimensionTooLargeError
+from .errors import HyperwalkError
 from .hypergraph import Hypergraph
 
 DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
@@ -46,9 +47,9 @@ def dense_cap() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
+        raise HyperwalkError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
     if value < 1:
-        raise ValueError(f"{DENSE_CAP_ENV} must be >= 1, got {value}")
+        raise HyperwalkError(f"{DENSE_CAP_ENV} must be >= 1, got {value}")
     return value
 
 
@@ -91,11 +92,11 @@ class WalkOperator:
         repeats within a term. The row blocks hold the index arrays to about
         max(N^2 / 16, 2^16) entries, however the pairs are grouped.
 
-        Raises DimensionTooLargeError when N exceeds the dense cap.
+        Raises HyperwalkError when N exceeds the dense cap.
         """
         cap = dense_cap()
         if self.size > cap:
-            raise DimensionTooLargeError(f"pair dimension {self.size} exceeds dense cap {cap}")
+            raise HyperwalkError(f"pair dimension {self.size} exceeds dense cap {cap}")
         hg = self.hypergraph
         a, b = self.vertex_weights, self.edge_weights
         vertex_starts, edge_order, edge_starts = hg.segments
@@ -124,12 +125,12 @@ class StateVector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1:
-            raise ValueError("amplitudes must be a flat vector")
+            raise HyperwalkError("amplitudes must be a flat vector")
         norm = np.linalg.norm(amps)
         # Hard bound is loose (1e-9): long evolutions legitimately drift past
         # the 1e-12 a freshly built state satisfies. Written so that NaN fails.
         if not abs(norm - 1.0) <= _NORM_HARD_TOL:
-            raise ValueError(f"state norm {norm!r} is not 1")
+            raise HyperwalkError(f"state norm {norm!r} is not 1")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -168,23 +169,17 @@ def walk_action(walk: WalkOperator, states: np.ndarray) -> np.ndarray:
 def apply_walk(walk: WalkOperator, psi: StateVector) -> StateVector:
     """One walk step on a state."""
     if psi.amplitudes.size != walk.size:
-        raise DimensionMismatchError(
+        raise HyperwalkError(
             f"state has {psi.amplitudes.size} amplitudes, walk space has {walk.size}"
         )
     return StateVector(walk_action(walk, psi.amplitudes))
 
 
-def evolve(walk: WalkOperator, psi0: StateVector, steps: int, keep_all: bool = False):
-    """Repeated walk steps; returns the final state, or all states when keep_all."""
+def evolve(walk: WalkOperator, psi0: StateVector, steps: int):
+    """Iterator over psi0 and the steps states after it, one walk step apart."""
     if steps < 0:
-        raise ValueError("steps must be >= 0")
-    psi = psi0
-    history = [psi0]
-    for _ in range(steps):
-        psi = apply_walk(walk, psi)
-        if keep_all:
-            history.append(psi)
-    return history if keep_all else psi
+        raise HyperwalkError("steps must be >= 0")
+    return accumulate(range(steps), lambda psi, _: apply_walk(walk, psi), initial=psi0)
 
 
 def basis_pair_state(hg: Hypergraph, v: int, e: int) -> StateVector:
@@ -196,7 +191,7 @@ def basis_pair_state(hg: Hypergraph, v: int, e: int) -> StateVector:
         index = lo + int(np.searchsorted(hg.pair_e[lo:hi], e))
         found = index < hi and hg.pair_e[index] == e
     if not found:
-        raise ValueError(f"({v}, {e}) is not an incident (vertex, hyperedge) pair")
+        raise HyperwalkError(f"({v}, {e}) is not an incident (vertex, hyperedge) pair")
     amps = np.zeros(hg.pair_v.size, dtype=np.complex128)
     amps[index] = 1.0
     return StateVector(amps)
@@ -206,14 +201,14 @@ def vertex_superposition(walk: WalkOperator, v: int) -> StateVector:
     """The unit state anchored at vertex v: column v of the vertex isometry."""
     hg = walk.hypergraph
     if not 0 <= v < hg.n:
-        raise ValueError(f"vertex {v} outside [0, {hg.n})")
+        raise HyperwalkError(f"vertex {v} outside [0, {hg.n})")
     return StateVector(np.where(hg.pair_v == v, walk.vertex_weights, 0.0))
 
 
 def vertex_distribution(hg: Hypergraph, psi: StateVector) -> Distribution:
     """Measurement marginal over vertices: summed squared magnitudes per vertex."""
     if psi.amplitudes.size != hg.pair_v.size:
-        raise DimensionMismatchError("state and pair space sizes differ")
+        raise HyperwalkError("state and pair space sizes differ")
     weights = np.abs(psi.amplitudes) ** 2
     return Distribution(np.bincount(hg.pair_v, weights=weights, minlength=hg.n))
 
@@ -221,6 +216,6 @@ def vertex_distribution(hg: Hypergraph, psi: StateVector) -> Distribution:
 def edge_distribution(hg: Hypergraph, psi: StateVector) -> Distribution:
     """Measurement marginal over hyperedges."""
     if psi.amplitudes.size != hg.pair_v.size:
-        raise DimensionMismatchError("state and pair space sizes differ")
+        raise HyperwalkError("state and pair space sizes differ")
     weights = np.abs(psi.amplitudes) ** 2
     return Distribution(np.bincount(hg.pair_e, weights=weights, minlength=hg.m))

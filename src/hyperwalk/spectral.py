@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .classical import TransitionSystem, build_transitions
-from .errors import CountMismatchError, InvalidToleranceError
+from .errors import HyperwalkError
 from .hypergraph import Hypergraph, component_count, degree_profile, scatter
 from .operators import WalkOperator, build_walk, dense_cap, walk_action
 
@@ -63,7 +63,7 @@ _RESIDUAL_BLOCK = 128
 
 def _check_tolerance(tol: float) -> float:
     if not 0.0 < tol <= TOL_CEILING:
-        raise InvalidToleranceError(f"tolerance must be in (0, {TOL_CEILING}], got {tol!r}")
+        raise HyperwalkError(f"tolerance must be in (0, {TOL_CEILING}], got {tol!r}")
     return float(tol)
 
 
@@ -381,7 +381,7 @@ def group_eigenvalues(values: np.ndarray, tol: float = _GROUP_TOL):
 def pairing_distance(predicted: np.ndarray, actual: np.ndarray) -> float:
     """Max distance after argument-sorted index pairing of two unit-circle multisets."""
     if len(predicted) != len(actual):
-        raise CountMismatchError(
+        raise HyperwalkError(
             f"predicted has {len(predicted)} eigenvalues, actual has {len(actual)}"
         )
     return float(np.abs(_circle_sort(predicted) - _circle_sort(actual)).max(initial=0.0))

@@ -115,7 +115,7 @@ def test_stationary_distribution_closed_form_irregular():
 
 def test_stationary_distribution_rejects_unknown_chain():
     ts = hw.build_transitions(triangle())
-    with pytest.raises(ValueError):
+    with pytest.raises(hw.HyperwalkError, match="which must be 'vertex' or 'edge'"):
         hw.stationary_distribution(ts, "both")
 
 
@@ -140,17 +140,17 @@ def test_classical_step_preserves_fixed_point():
 
 def test_classical_step_dimension_mismatch():
     ts = hw.build_transitions(triangle())
-    with pytest.raises(hw.DimensionMismatchError):
+    with pytest.raises(hw.HyperwalkError, match="distribution has 4 entries, chain has 3"):
         hw.classical_step(ts, hw.Distribution(np.full(4, 0.25)))
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(hw.HyperwalkError, match="not 1"):
         hw.Distribution(np.array([0.7, 0.4]))
-    with pytest.raises(ValueError):
+    with pytest.raises(hw.HyperwalkError, match="negative probability entry"):
         hw.Distribution(np.array([1.2, -0.2]))
     for probabilities in ([np.nan, 0.5], [np.nan, 1.0], [1.0, np.nan]):
-        with pytest.raises(ValueError):
+        with pytest.raises(hw.HyperwalkError, match="not 1"):
             hw.Distribution(np.array(probabilities))
 
 

@@ -228,15 +228,20 @@ def test_spectrum_unverified_above_cap(triangle_file, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "error", [hw.CountMismatchError, hw.DimensionMismatchError, hw.DimensionTooLargeError]
+    "error, message",
+    [
+        pytest.param(hw.HyperwalkError("raised on purpose"), "raised on purpose", id="HyperwalkError"),
+        pytest.param(hw.HgSyntaxError(4, "raised on purpose"), "line 4: raised on purpose", id="HgSyntaxError"),
+        pytest.param(ValueError("raised on purpose"), "raised on purpose", id="ValueError"),
+    ],
 )
-def test_every_library_error_exits_two(triangle_file, capsys, monkeypatch, error):
+def test_every_library_error_exits_two(triangle_file, capsys, monkeypatch, error, message):
     def failing(*args, **kwargs):
-        raise error("raised on purpose")
+        raise error
 
     monkeypatch.setattr(hyperwalk.cli, "analyze", failing)
     assert main(["spectrum", triangle_file]) == 2
-    assert capsys.readouterr().err == "error: raised on purpose\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_fuzz_campaign_passes(tmp_path):

@@ -50,22 +50,22 @@ def test_incidence_is_immutable():
 
 
 def test_from_edge_lists_rejects_empty_edge():
-    with pytest.raises(hw.EmptyEdgeError):
+    with pytest.raises(hw.HyperwalkError, match="hyperedge 1 contains no vertices"):
         hw.from_edge_lists(3, [{0, 1}, set()])
 
 
 def test_from_edge_lists_rejects_out_of_range_vertex():
-    with pytest.raises(hw.IndexOutOfRangeError):
+    with pytest.raises(hw.HyperwalkError, match=r"pair \(3, 0\) outside \[0, 3\)"):
         hw.from_edge_lists(3, [{0, 3}])
 
 
 def test_from_edge_lists_rejects_isolated_vertex():
-    with pytest.raises(hw.IsolatedVertexError):
+    with pytest.raises(hw.HyperwalkError, match="vertex 3 appears in no hyperedge"):
         hw.from_edge_lists(4, [{0, 1}, {1, 2}])
 
 
 def test_from_edge_lists_rejects_repeated_vertex():
-    with pytest.raises(ValueError):
+    with pytest.raises(hw.HyperwalkError, match="hyperedge 0 repeats vertex 0"):
         hw.from_edge_lists(3, [[0, 0, 1]])
 
 
@@ -136,13 +136,13 @@ def test_bipartite_structure_properties():
 def test_constructor_sorts_and_validates_pairs():
     hg = hw.Hypergraph(3, 2, [2, 0, 1, 0], [1, 1, 0, 0])
     assert hg.pair_v.tolist() == [0, 0, 1, 2] and hg.pair_e.tolist() == [0, 1, 0, 1]
-    with pytest.raises(hw.IndexOutOfRangeError):
+    with pytest.raises(hw.HyperwalkError, match=r"pair \(2, 0\) outside"):
         hw.Hypergraph(2, 1, [0, 2], [0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(hw.HyperwalkError, match="repeats vertex"):
         hw.Hypergraph(2, 1, [0, 1, 0], [0, 0, 0])
-    with pytest.raises(hw.EmptyEdgeError):
+    with pytest.raises(hw.HyperwalkError, match="hyperedge 0 contains no vertices"):
         hw.Hypergraph(2, 2, [0, 1], [1, 1])
-    with pytest.raises(hw.IsolatedVertexError):
+    with pytest.raises(hw.HyperwalkError, match="vertex 2 appears in no hyperedge"):
         hw.Hypergraph(10**15, 1, [0, 1], [0, 0])
 
 
@@ -166,9 +166,9 @@ def test_generator_forced_single_edge():
 
 
 def test_generator_rejects_infeasible_parameters():
-    with pytest.raises(hw.InfeasibleParametersError):
+    with pytest.raises(hw.HyperwalkError, match=r"infeasible: n\*d != m\*k"):
         hw.random_regular_uniform(5, 3, 3, 2, seed=0)
-    with pytest.raises(hw.InfeasibleParametersError):
+    with pytest.raises(hw.HyperwalkError, match="infeasible: k > n"):
         hw.random_regular_uniform(2, 2, 3, 3, seed=0)
 
 
@@ -176,7 +176,7 @@ def test_feasible_parameters_reject_caps_no_draw_fits():
     # k >= 2 needs max_n >= 2 and max_pairs >= 2; below that no draw can
     # succeed, so the error comes before any draw.
     for max_n, max_pairs in [(1, 512), (0, 512), (60, 1)]:
-        with pytest.raises(hw.InfeasibleParametersError):
+        with pytest.raises(hw.HyperwalkError, match="infeasible: no k >= 2 fits"):
             hw.random_feasible_parameters(np.random.default_rng(0), max_n=max_n, max_pairs=max_pairs)
     assert hw.random_feasible_parameters(np.random.default_rng(0), max_n=2, max_pairs=2) == (2, 1, 2, 1)
 
@@ -218,8 +218,9 @@ def test_parse_rejects_bad_tokens():
 
 
 def test_parse_rejects_out_of_range_vertex():
-    with pytest.raises(hw.IndexOutOfRangeError):
+    with pytest.raises(hw.HgSyntaxError, match=r"^line 2: vertex 5 outside \[0, 3\)$") as err:
         hw.parse("n 3\n0 1 5\n")
+    assert err.value.line == 2
 
 
 def test_round_trip_is_canonical():

@@ -131,7 +131,7 @@ def test_dense_matrix_is_product_of_reflections():
 def test_dense_cap_controls_materialization(monkeypatch):
     monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
     _, walk = pipeline(triangle())
-    with pytest.raises(hw.DimensionTooLargeError):
+    with pytest.raises(hw.HyperwalkError, match="pair dimension 6 exceeds dense cap 4"):
         walk.dense
     out = hw.apply_walk(walk, hw.basis_pair_state(triangle(), 0, 0))
     assert abs(out.norm - 1.0) <= 1e-12
@@ -139,7 +139,7 @@ def test_dense_cap_controls_materialization(monkeypatch):
 
 def test_dense_cap_env_validation(monkeypatch):
     monkeypatch.setenv(hw.DENSE_CAP_ENV, "zero")
-    with pytest.raises(ValueError):
+    with pytest.raises(hw.HyperwalkError, match="must be an integer"):
         hw.dense_cap()
 
 
@@ -193,37 +193,44 @@ def test_reflection_locality():
 
 def test_apply_walk_dimension_mismatch():
     _, walk = pipeline(triangle())
-    with pytest.raises(hw.DimensionMismatchError):
+    with pytest.raises(hw.HyperwalkError, match="state has 4 amplitudes, walk space has 6"):
         hw.apply_walk(walk, random_state(4, seed=1))
 
 
 def test_evolve_zero_steps_is_identity():
     _, walk = pipeline(triangle())
     psi = random_state(walk.size, seed=2)
-    out = hw.evolve(walk, psi, 0)
-    np.testing.assert_array_equal(out.amplitudes, psi.amplitudes)
+    (out,) = hw.evolve(walk, psi, 0)
+    assert out is psi
 
 
 def test_evolve_two_steps_single_edge_against_matrix_power():
     _, walk = pipeline(single_edge())
     psi = hw.basis_pair_state(single_edge(), 0, 0)
-    out = hw.evolve(walk, psi, 2)
+    *_, out = hw.evolve(walk, psi, 2)
     oracle = np.linalg.matrix_power(walk.dense, 2) @ psi.amplitudes
     assert np.abs(out.amplitudes - oracle).max() <= 1e-12
 
 
-def test_evolve_keep_all_returns_history():
+def test_evolve_yields_start_and_every_step():
     _, walk = pipeline(triangle())
     psi = random_state(walk.size, seed=3)
-    history = hw.evolve(walk, psi, 5, keep_all=True)
-    assert len(history) == 6
-    np.testing.assert_array_equal(history[0].amplitudes, psi.amplitudes)
+    history = list(hw.evolve(walk, psi, 5))
+    assert len(history) == 6 and history[0] is psi
+    for before, after in zip(history, history[1:]):
+        np.testing.assert_array_equal(after.amplitudes, hw.apply_walk(walk, before).amplitudes)
+
+
+def test_evolve_rejects_negative_steps_before_iteration():
+    _, walk = pipeline(triangle())
+    with pytest.raises(hw.HyperwalkError, match="steps must be >= 0"):
+        hw.evolve(walk, random_state(walk.size, seed=3), -1)
 
 
 def test_evolve_long_run_norm_drift():
     _, walk = pipeline(triangle())
     psi = random_state(walk.size, seed=4)
-    out = hw.evolve(walk, psi, 1000)
+    *_, out = hw.evolve(walk, psi, 1000)
     assert abs(out.norm - 1.0) <= 1e-9
 
 
@@ -240,7 +247,7 @@ def test_vertex_superposition_matches_isometry_column():
 
 def test_basis_pair_state_rejects_non_incident_pair():
     for v, e in [(0, 1), (3, 0), (0, 3), (-1, 0), (0, -1), (2**70, 0)]:
-        with pytest.raises(ValueError):
+        with pytest.raises(hw.HyperwalkError, match="is not an incident"):
             hw.basis_pair_state(triangle(), v, e)
 
 
@@ -274,5 +281,5 @@ def test_uniform_state_marginals_triangle():
 
 def test_state_vector_rejects_bad_norm():
     for amps in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0], [complex(np.nan, 0.0), 1.0]):
-        with pytest.raises(ValueError):
+        with pytest.raises(hw.HyperwalkError, match="is not 1"):
             hw.StateVector(np.array(amps, dtype=complex))

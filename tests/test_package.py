@@ -10,3 +10,14 @@ def test_public_names_are_sorted_unique_and_resolve():
     namespace = {}
     exec("from hyperwalk import *", namespace)
     assert set(hw.__all__) <= namespace.keys()
+
+
+def test_every_exception_is_a_hyperwalk_error():
+    assert issubclass(hw.HyperwalkError, ValueError)
+    errors = [obj for obj in vars(hw).values() if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert hw.HgSyntaxError in errors
+    assert all(issubclass(error, hw.HyperwalkError) for error in errors)
+
+
+def test_public_api_has_at_most_45_names():
+    assert len(hw.__all__) <= 45

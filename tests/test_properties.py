@@ -1,10 +1,34 @@
 """Property battery over arbitrary small hypergraphs, beyond the regular uniform family."""
 
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperwalk as hw
-from conftest import union_find_components
+from hyperwalk.cli import main
+from conftest import pipeline, union_find_components
+
+# Edge lines under an "n 4" header: valid edges, integer lists that may
+# repeat a vertex or leave [0, 4), and lines of junk tokens.
+JUNK = st.one_of(
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["x", "n", "#", "-", "1.5", "0x1", "+1", "1_0", "\u0663", "9" * 5000]),
+    st.text(max_size=3),
+)
+LINES = st.one_of(
+    st.sets(st.integers(0, 3), min_size=1).map(lambda edge: [str(v) for v in edge]),
+    st.lists(st.integers(-1, 4).map(str), min_size=1, max_size=4),
+    st.lists(JUNK, max_size=5),
+)
+HG_TEXTS = st.one_of(
+    st.text(),
+    st.lists(LINES.map(" ".join), max_size=6).map(lambda lines: "\n".join(["n 4"] + lines) + "\n"),
+)
 
 
 @st.composite
@@ -28,3 +52,55 @@ def test_analyze_counts_one_unit_per_component_and_passes(hg, classify_tol):
     assert report.verdict == "pass", report.to_json()
     assert report.classification.count("unit") == union_find_components(hg)
     assert sum(entry["multiplicity"] for entry in report.to_json_dict()["predicted"]) == report.size
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hg=hypergraphs())
+def test_parse_inverts_serialize(hg):
+    back = hw.parse(hw.serialize(hg))
+    assert back.n == hg.n
+    np.testing.assert_array_equal(back.pair_v, hg.pair_v)
+    np.testing.assert_array_equal(back.pair_e, hg.pair_e)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=HG_TEXTS)
+def test_parse_rejects_only_with_library_errors(text):
+    try:
+        hw.parse(text)
+    except hw.HyperwalkError:
+        pass
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=HG_TEXTS)
+def test_info_exits_zero_or_two_without_traceback(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.hg")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["info", path])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hg=hypergraphs(), seed=st.integers(0, 2**32 - 1), columns=st.sampled_from([None, 1, 3]))
+def test_walk_action_matches_dense(hg, seed, columns):
+    _, walk = pipeline(hg)
+    rng = np.random.default_rng(seed)
+    shape = (walk.size,) if columns is None else (walk.size, columns)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.abs(hw.walk_action(walk, x) - walk.dense @ x).max() <= 1e-12
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hg=hypergraphs())
+def test_degree_law_is_fixed_by_classical_step(hg):
+    degrees = hw.degree_profile(hg).vertex_degrees
+    pi = hw.Distribution(degrees / hg.pair_v.size)
+    stepped = hw.classical_step(hw.build_transitions(hg), pi)
+    assert np.abs(stepped.probabilities - pi.probabilities).max() <= 1e-12

@@ -116,9 +116,9 @@ def test_classification_tags():
 
 
 def test_classification_rejects_bad_tolerance():
-    with pytest.raises(hw.InvalidToleranceError):
+    with pytest.raises(hw.HyperwalkError, match=r"tolerance must be in \(0, 0.001\], got 0.5"):
         hw.classify_singular_values(np.array([0.5]), units=0, tol=0.5)
-    with pytest.raises(hw.InvalidToleranceError):
+    with pytest.raises(hw.HyperwalkError, match=r"tolerance must be in \(0, 0.001\], got 0.0"):
         hw.classify_singular_values(np.array([0.5]), units=0, tol=0.0)
 
 
@@ -205,7 +205,7 @@ def test_brute_force_spectrum_pins():
 def test_brute_force_requires_dense(monkeypatch):
     monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
     _, walk = pipeline(triangle())
-    with pytest.raises(hw.DimensionTooLargeError):
+    with pytest.raises(hw.HyperwalkError, match="pair dimension 6 exceeds dense cap 4"):
         hw.brute_force_spectrum(walk)
 
 
@@ -222,7 +222,7 @@ def test_corrupted_prediction_fails_with_distance_two():
 
 
 def test_pairing_count_mismatch():
-    with pytest.raises(hw.CountMismatchError):
+    with pytest.raises(hw.HyperwalkError, match="predicted has 3 eigenvalues, actual has 2"):
         hw.pairing_distance(np.ones(3, dtype=complex), np.ones(2, dtype=complex))
 
 
@@ -445,7 +445,7 @@ def test_analyze_unverified_above_cap(monkeypatch):
 
 
 def test_analyze_rejects_bad_tolerances():
-    with pytest.raises(hw.InvalidToleranceError):
+    with pytest.raises(hw.HyperwalkError, match=r"tolerance must be in \(0, 0.001\], got 1.0"):
         hw.analyze(triangle(), classify_tol=1.0)
-    with pytest.raises(hw.InvalidToleranceError):
+    with pytest.raises(hw.HyperwalkError, match=r"tolerance must be in \(0, 0.001\], got 0.0"):
         hw.analyze(triangle(), verify_tol=0.0)
