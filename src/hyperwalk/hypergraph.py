@@ -39,6 +39,16 @@ def _first_absent(index: np.ndarray, count: int) -> int | None:
     return int(gaps[0]) if gaps.size else (present.size if present.size < count else None)
 
 
+def read_integers(tokens: list[str]) -> list[int] | None:
+    """The tokens as ints if each is ASCII digits with an optional leading '-', else None."""
+    if not all(tok.isascii() and tok.removeprefix("-").isdigit() for tok in tokens):
+        return None
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:  # beyond int()'s digit limit
+        return None
+
+
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
     """Immutable hypergraph: n, m and the incident pairs, validated, read-only, sorted by (v, e)."""
@@ -240,7 +250,8 @@ def parse(text: str) -> Hypergraph:
     Lines starting with '#' are comments and blank lines are skipped. The
     first remaining line must be ``n <N>``; every later line lists one
     hyperedge as whitespace-separated 0-based vertex indices, and the line
-    order defines the edge indices.
+    order defines the edge indices. Integers are ASCII digits with an
+    optional leading '-' (see read_integers).
     """
     n = None
     edges = []
@@ -254,17 +265,16 @@ def parse(text: str) -> Hypergraph:
         if n is None:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise HgSyntaxError(lineno, f"expected header 'n <count>', got {line!r}")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise HgSyntaxError(lineno, f"vertex count {tokens[1]!r} is not an integer") from None
+            count = read_integers(tokens[1:])
+            if count is None:
+                raise HgSyntaxError(lineno, f"vertex count {tokens[1]!r} is not an integer")
+            n = count[0]
             if not 1 <= n < 2**63:
                 raise HgSyntaxError(lineno, f"vertex count must be in [1, 2**63), got {n}")
             continue
-        try:
-            members = [int(tok) for tok in tokens]
-        except ValueError:
-            raise HgSyntaxError(lineno, f"non-integer vertex index in {line!r}") from None
+        members = read_integers(tokens)
+        if members is None:
+            raise HgSyntaxError(lineno, f"non-integer vertex index in {line!r}")
         if len(set(members)) != len(members):
             raise HgSyntaxError(lineno, f"duplicate vertex in hyperedge {line!r}")
         for v in members:

@@ -7,7 +7,7 @@ import pytest
 
 import hyperwalk as hw
 import hyperwalk.cli
-from hyperwalk.cli import _series_lines, main
+from hyperwalk.cli import _BLOCK, _series_lines, main
 from conftest import cycle, single_edge, triangle
 
 
@@ -138,10 +138,19 @@ def test_evolve_csv_json_identical_numbers(triangle_file, capsys):
     assert doc["rows"] == csv_rows
 
 
-def test_evolve_unknown_start_exit_codes(triangle_file):
-    assert main(["evolve", triangle_file, "--start", "v:9", "--steps", "1"]) == 2
+def test_evolve_unknown_start_exit_codes(triangle_file, capsys):
     assert main(["evolve", triangle_file, "--start", "pair:0,1", "--steps", "1"]) == 2
-    assert main(["evolve", triangle_file, "--start", "w:0", "--steps", "1"]) == 2
+    capsys.readouterr()
+    forms = {"evolve": "'v:<index>' or 'pair:<v>,<e>'", "classical": "'v:<index>'"}
+    # Start indices are read as .hg integers: ASCII digits, optional leading '-'.
+    malformed = ["w:0", "v:+1", "v:1_0", "v:\u0663", "v: 1", "v:1,2", "pair:0,+0", "pair:+0,0"]
+    for command, form in forms.items():
+        for vertex in (9, -1):
+            assert main([command, triangle_file, "--start", f"v:{vertex}", "--steps", "1"]) == 2
+            assert capsys.readouterr().err == f"error: unknown start vertex {vertex}\n"
+        for spec in malformed:
+            assert main([command, triangle_file, "--start", spec, "--steps", "1"]) == 2
+            assert capsys.readouterr().err == f"error: start must be {form}, got {spec!r}\n"
 
 
 def test_series_csv_digits_match_17g_format():
@@ -153,6 +162,42 @@ def test_series_csv_digits_match_17g_format():
     for t, probs in rows:
         expected += ",".join([str(t)] + [f"{x:.17g}" for x in probs]) + "\n"
     assert "".join(_series_lines(rows, awkward.size, "csv")) == expected
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+def test_series_csv_rows_span_blocks(n):
+    # Rows longer than one "%" block: every value keeps its place and digits.
+    values = np.random.default_rng(n).random(n) ** 50
+    values[::5] = 5e-324
+    values[1::5] = 0.0
+    rows = [(0, values), (7, values[::-1].copy())]
+    expected = "t," + ",".join(f"v{i}" for i in range(n)) + "\n"
+    for t, probs in rows:
+        expected += ",".join([str(t)] + [f"{x:.17g}" for x in probs]) + "\n"
+    assert "".join(_series_lines(rows, n, "csv")) == expected
+
+
+def test_series_json_matches_json_dumps():
+    awkward = np.array([0.0, 5e-324, 1 / 3, 1e-300, 0.1, 1.0, 2 / 3, 1e-5])
+    rows = [(0, awkward), (12, awkward[::-1].copy())]
+    payload = {
+        "columns": ["t"] + [f"v{i}" for i in range(awkward.size)],
+        "rows": [[t] + [float(x) for x in probs] for t, probs in rows],
+    }
+    assert "".join(_series_lines(rows, awkward.size, "json")) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_zero_steps_on_one_vertex_writes_one_row(tmp_path, capsys, fmt):
+    path = tmp_path / "loop.hg"
+    path.write_text("n 1\n0\n")
+    for command in ("evolve", "classical"):
+        assert main([command, str(path), "--start", "v:0", "--steps", "0", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "csv":
+            assert out == "t,v0\n0,1\n"
+        else:
+            assert out == json.dumps({"columns": ["t", "v0"], "rows": [[0, 1.0]]}, indent=2) + "\n"
 
 
 def test_classical_triangle_step(triangle_file, capsys):

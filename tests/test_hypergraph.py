@@ -217,6 +217,23 @@ def test_parse_rejects_bad_tokens():
         hw.parse(f"n {2**63}\n0 1\n")
 
 
+@pytest.mark.parametrize("token", ["+1", "1_0", "\u0663", "--1", "1-"])
+def test_parse_reads_only_ascii_digits_with_optional_minus(token):
+    with pytest.raises(hw.HgSyntaxError, match=r"^line 3: non-integer vertex index in ") as err:
+        hw.parse(f"n 11\n0 2\n0 {token}\n")
+    assert err.value.line == 3
+    with pytest.raises(hw.HgSyntaxError, match=r"^line 1: vertex count .* is not an integer$") as err:
+        hw.parse(f"n {token}\n0\n")
+    assert err.value.line == 1
+
+
+def test_parse_negative_vertex_reports_range():
+    with pytest.raises(hw.HgSyntaxError, match=r"^line 2: vertex -1 outside \[0, 3\)$"):
+        hw.parse("n 3\n0 -1\n")
+    with pytest.raises(hw.HgSyntaxError, match=r"^line 1: vertex count must be in"):
+        hw.parse("n -1\n0\n")
+
+
 def test_parse_rejects_out_of_range_vertex():
     with pytest.raises(hw.HgSyntaxError, match=r"^line 2: vertex 5 outside \[0, 3\)$") as err:
         hw.parse("n 3\n0 1 5\n")

@@ -1,6 +1,7 @@
 """Property battery over arbitrary small hypergraphs, beyond the regular uniform family."""
 
 import io
+import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hyperwalk as hw
-from hyperwalk.cli import main
+from hyperwalk.cli import _series_lines, main
 from conftest import pipeline, union_find_components
 
 # Edge lines under an "n 4" header: valid edges, integer lists that may
@@ -25,6 +26,13 @@ LINES = st.one_of(
     st.lists(st.integers(-1, 4).map(str), min_size=1, max_size=4),
     st.lists(JUNK, max_size=5),
 )
+ARABIC_INDIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+# Spellings of a vertex index that int() reads but the .hg format does not allow.
+INT_ONLY_SPELLINGS = [
+    lambda v: f"+{v}",
+    lambda v: f"0_{v}",
+    lambda v: v.translate(ARABIC_INDIC_DIGITS),
+]
 HG_TEXTS = st.one_of(
     st.text(),
     st.lists(LINES.map(" ".join), max_size=6).map(lambda lines: "\n".join(["n 4"] + lines) + "\n"),
@@ -73,6 +81,23 @@ def test_parse_rejects_only_with_library_errors(text):
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hg=hypergraphs(), data=st.data())
+def test_parse_rejects_int_only_spellings_with_their_line(hg, data):
+    lines = hw.serialize(hg).splitlines()
+    lineno = data.draw(st.integers(2, len(lines)))
+    tokens = lines[lineno - 1].split()
+    at = data.draw(st.integers(0, len(tokens) - 1))
+    tokens[at] = data.draw(st.sampled_from(INT_ONLY_SPELLINGS))(tokens[at])
+    lines[lineno - 1] = " ".join(tokens)
+    try:
+        hw.parse("\n".join(lines) + "\n")
+    except hw.HgSyntaxError as err:
+        assert err.line == lineno and "non-integer vertex index" in str(err)
+    else:
+        raise AssertionError(f"accepted {lines[lineno - 1]!r}")
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(text=HG_TEXTS)
 def test_info_exits_zero_or_two_without_traceback(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -104,3 +129,24 @@ def test_degree_law_is_fixed_by_classical_step(hg):
     pi = hw.Distribution(degrees / hg.pair_v.size)
     stepped = hw.classical_step(hw.build_transitions(hg), pi)
     assert np.abs(stepped.probabilities - pi.probabilities).max() <= 1e-12
+
+
+@st.composite
+def series(draw):
+    """n <= 8 columns and 1-4 rows of arbitrary finite non-negative floats, subnormals included."""
+    n = draw(st.integers(1, 8))
+    values = st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=n, max_size=n)
+    rows = draw(st.lists(st.tuples(st.integers(0, 10**6), values), min_size=1, max_size=4))
+    return n, [(t, np.array(probs)) for t, probs in rows]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(drawn=series())
+def test_series_lines_match_per_value_references(drawn):
+    n, rows = drawn
+    columns = ["t"] + [f"v{i}" for i in range(n)]
+    csv = ",".join(columns) + "\n"
+    csv += "".join(",".join([str(t)] + [f"{x:.17g}" for x in probs.tolist()]) + "\n" for t, probs in rows)
+    assert "".join(_series_lines(rows, n, "csv")) == csv
+    payload = {"columns": columns, "rows": [[t] + probs.tolist() for t, probs in rows]}
+    assert "".join(_series_lines(rows, n, "json")) == json.dumps(payload, indent=2) + "\n"
