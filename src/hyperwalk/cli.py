@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -85,9 +86,9 @@ def _read_hypergraph(path: str):
 _BLOCK = 128
 
 
-def _series_lines(rows: list[tuple[int, np.ndarray]], n: int, fmt: str):
-    """The series as text pieces: one JSON document, or the CSV rows, each
-    formatted when the writer asks for it, _BLOCK values per "%"."""
+def _series_lines(rows, n: int, fmt: str):
+    """The series, from (t, probabilities) rows read once, as text pieces: one JSON
+    document, or the CSV rows, each computed and formatted as written, _BLOCK values per "%"."""
     columns = ["t"] + [f"v{i}" for i in range(n)]
     if fmt == "csv":
         yield ",".join(columns) + "\n"
@@ -167,13 +168,10 @@ def _cmd_classical(args) -> int:
     hg = _read_hypergraph(args.file)
     ts = build_transitions(hg)
     _, (v,) = _start_indices(args.start, hg.n, kinds=("v",))
-    point = np.zeros(hg.n)
-    point[v] = 1.0
-    dist = Distribution(point)
-    rows = [(0, dist.probabilities)]
-    for t in range(1, args.steps + 1):
-        dist = classical_step(ts, dist)
-        rows.append((t, dist.probabilities))
+    p0 = np.zeros(hg.n)
+    p0[v] = 1.0
+    dists = accumulate(range(args.steps), lambda d, _: classical_step(ts, d), initial=Distribution(p0))
+    rows = ((t, dist.probabilities) for t, dist in enumerate(dists))
     _write_lines(args.out, _series_lines(rows, hg.n, args.format))
     return 0
 
@@ -184,7 +182,7 @@ def _cmd_evolve(args) -> int:
     kind, indices = _start_indices(args.start, hg.n)
     psi0 = vertex_superposition(walk, *indices) if kind == "v" else basis_pair_state(hg, *indices)
     states = evolve(walk, psi0, args.steps)
-    rows = [(t, vertex_distribution(hg, psi).probabilities) for t, psi in enumerate(states)]
+    rows = ((t, vertex_distribution(hg, psi).probabilities) for t, psi in enumerate(states))
     _write_lines(args.out, _series_lines(rows, hg.n, args.format))
     return 0
 

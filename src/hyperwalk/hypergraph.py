@@ -145,8 +145,8 @@ def degree_profile(hg: Hypergraph) -> DegreeProfile:
     return DegreeProfile(vertex_degrees, edge_degrees, d, k)
 
 
-def component_count(hg: Hypergraph) -> int:
-    """Number of connected components of the bipartite incidence graph.
+def component_labels(hg: Hypergraph) -> np.ndarray:
+    """Each vertex's component of the bipartite incidence graph, named by its smallest vertex.
 
     Each root hooks onto the smallest root across a shared hyperedge, then
     pointer jumping flattens the chains; no hyperedge is empty, so the
@@ -160,8 +160,13 @@ def component_count(hg: Hypergraph) -> int:
         while not np.array_equal(hooked, hooked[hooked]):
             hooked = hooked[hooked]
         if np.array_equal(hooked, root):
-            return int(np.count_nonzero(root == np.arange(hg.n)))
+            return root
         root = hooked
+
+
+def component_count(hg: Hypergraph) -> int:
+    """Number of connected components of the bipartite incidence graph."""
+    return int(np.count_nonzero(component_labels(hg) == np.arange(hg.n)))
 
 
 def is_connected(hg: Hypergraph) -> bool:

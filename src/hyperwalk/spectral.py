@@ -34,10 +34,10 @@ by construction, however rounding left them; only the null tags are read
 against a tolerance.
 
 Multiplicities total N. Verification pairs the predicted multiset against
-the eigenvalues of the dense walk matrix, scattered from the pair lists
-independently of walk_action (no eigenvectors are computed there), and
-checks every predicted eigenvector's walk_action residual, on column blocks
-that are built from per-eigenvalue recipes and dropped in turn.
+the eigenvalues of the dense walk matrix, one block per connected component
+scattered from its pairs independently of walk_action, and checks every
+predicted eigenvector's walk_action residual, in real arithmetic on blocks
+of per-eigenvalue recipes that are built and dropped in turn.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import numpy as np
 
 from .classical import TransitionSystem, build_transitions
 from .errors import HyperwalkError
-from .hypergraph import Hypergraph, component_count, degree_profile, scatter
+from .hypergraph import Hypergraph, component_count, component_labels, degree_profile, scatter
 from .operators import WalkOperator, build_walk, dense_cap, walk_action
 
 CLASSIFY_TOL_DEFAULT = 1e-9
@@ -58,7 +58,7 @@ VERIFY_TOL_DEFAULT = 1e-8
 TOL_CEILING = 1e-3
 _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
-_RESIDUAL_BLOCK = 128
+_RESIDUAL_BLOCK = 32  # recipes per residual block: N x 32 real columns stay in cache
 
 
 def _check_tolerance(tol: float) -> float:
@@ -89,10 +89,13 @@ class SpectrumPrediction:
     idx of A U, "B nu" column idx of B V, "interior" is
     (A mu - phase B nu) / scale at idx, and "cycle" is column idx of the
     cycle basis, normalised. A and B have one nonzero per row, so A mu and
-    B nu are row gathers of single SVD columns. No column is stored:
-    eigenvectors builds the N x N matrix of unit eigenvectors on each
-    access, and residuals streams the columns through the walk on first
-    access.
+    B nu are row gathers of SVD columns. No column is stored: eigenvectors
+    builds the N x N matrix of unit eigenvectors on each access, and
+    residuals streams blocks of recipes through the walk on first access.
+    A block is real @ coef, for the distinct real columns its recipes use and
+    the weights 1/scale and -phase/scale of each recipe's two. walk_action
+    acts on each real column once; as W is linear, (W real) @ coef -
+    real @ (coef lambda) is W x - lambda x in exact arithmetic, from real products.
     """
 
     eigenvalues: np.ndarray
@@ -104,47 +107,44 @@ class SpectrumPrediction:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        return self._block(slice(None), cycle_basis(self.walk.hypergraph))
+        real, imag = self._evaluate(self.recipes, cycle_basis(self.walk.hypergraph))
+        return real + 1j * imag
 
     @cached_property
     def residuals(self) -> np.ndarray:
         """The walk_action residual ||W x - lambda x|| of every eigenvector x."""
         cycles = cycle_basis(self.walk.hypergraph)
-        residuals = np.empty(self.eigenvalues.size)
-        # Each column block is built, checked and dropped, so the temporaries
-        # stay N x _RESIDUAL_BLOCK.
-        for j in range(0, self.eigenvalues.size, _RESIDUAL_BLOCK):
-            block = slice(j, j + _RESIDUAL_BLOCK)
-            x = self._block(block, cycles)
-            residuals[block] = np.linalg.norm(
-                walk_action(self.walk, x) - x * self.eigenvalues[block], axis=0
-            )
-        return residuals
+        blocks = [slice(j, j + _RESIDUAL_BLOCK) for j in range(0, len(self.recipes), _RESIDUAL_BLOCK)]
+        return np.concatenate([
+            np.linalg.norm(self._evaluate(self.recipes[b], cycles, self.eigenvalues[b]), axis=(0, 1))
+            for b in blocks
+        ])
 
     @property
     def max_residual(self) -> float:
         return float(self.residuals.max(initial=0.0))
 
-    def _block(self, columns: slice, cycles: np.ndarray) -> np.ndarray:
-        """The selected eigenvectors as a complex N x len matrix; cycles is cycle_basis(hypergraph)."""
-        recipes = self.recipes[columns]
-        out = np.empty((self.walk.size, len(recipes)), dtype=np.complex128)
-        for col, (kind, idx, phase, scale) in enumerate(recipes):
-            if kind == "cycle":
-                out[:, col] = cycles[:, idx] / np.sqrt(np.count_nonzero(cycles[:, idx]))
-            elif kind == "A mu":
-                out[:, col] = self._a_mu(idx)
-            elif kind == "B nu":
-                out[:, col] = self._b_nu(idx)
-            else:
-                out[:, col] = (self._a_mu(idx) - phase * self._b_nu(idx)) / scale
-        return out
-
-    def _a_mu(self, idx: int) -> np.ndarray:
-        return self.walk.vertex_weights * self.svd.left_vectors[self.walk.hypergraph.pair_v, idx]
-
-    def _b_nu(self, idx: int) -> np.ndarray:
-        return self.walk.edge_weights * self.svd.right_vectors[self.walk.hypergraph.pair_e, idx]
+    def _evaluate(self, recipes, cycles: np.ndarray, values=None) -> np.ndarray:
+        """The real and imaginary parts, stacked, of the recipes' eigenvectors
+        x or, given their eigenvalues, of W x - lambda x; cycles is cycle_basis(hypergraph)."""
+        hg, walk = self.walk.hypergraph, self.walk
+        start = {"A mu": 0, "interior": 0, "B nu": hg.n, "cycle": hg.n + hg.m}  # real column numbers
+        keys = [(start[k] + i, hg.n + i if k == "interior" else start[k] + i) for k, i, *_ in recipes]
+        used, at = np.unique(keys, return_inverse=True)
+        a_idx, b_idx, c_idx = np.split(used, np.searchsorted(used, [hg.n, hg.n + hg.m]))
+        loops = cycles[:, c_idx - hg.n - hg.m]
+        real = np.hstack([
+            walk.vertex_weights[:, None] * self.svd.left_vectors[:, a_idx][hg.pair_v],
+            walk.edge_weights[:, None] * self.svd.right_vectors[:, b_idx - hg.n][hg.pair_e],
+            loops / np.sqrt(np.count_nonzero(loops, axis=0)),
+        ])
+        coef = np.zeros((used.size, len(recipes)), dtype=np.complex128)
+        cols = np.arange(len(recipes))[:, None]
+        np.add.at(coef, (at.reshape(-1, 2), cols), [(1 / s, -p / s) for *_, p, s in recipes])
+        if values is not None:
+            real = np.hstack([walk_action(walk, real), real])
+            coef = np.vstack([coef, -coef * values])
+        return real @ np.stack([coef.real, coef.imag])
 
 
 @dataclass(frozen=True)
@@ -351,8 +351,30 @@ def predict_spectrum(
 
 
 def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
-    """Independent oracle: the eigenvalues of the dense walk matrix."""
-    return np.linalg.eigvals(walk.dense)
+    """Independent oracle: the eigenvalues of the dense walk matrix, block by block.
+
+    W only mixes pairs that share a vertex or a hyperedge, so with its pairs
+    grouped by connected component it is exactly a permutation of
+    diag(W_1, ..., W_c), whose eigenvalues are the blocks' together. Each W_i
+    is the dense view of the walk on component i's pairs, with the same
+    weights; no N x N matrix is built when c > 1. The labels are used only
+    once every hyperedge's pairs are seen to carry one. Raises HyperwalkError
+    when a component has more pairs than the dense cap.
+    """
+    hg = walk.hypergraph
+    labels = component_labels(hg)[hg.pair_v]
+    _, edge_order, edge_starts = hg.segments
+    if not np.array_equal(labels[edge_order[edge_starts]][hg.pair_e], labels):
+        raise HyperwalkError("component labels split a hyperedge")
+    order = np.argsort(labels, kind="stable")
+    blocks = []
+    for pairs in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+        # Renumbering keeps the pairs' (v, e) order, so the weights stay aligned.
+        v, e = (np.unique(ids[pairs], return_inverse=True)[1] for ids in (hg.pair_v, hg.pair_e))
+        part = Hypergraph(int(v.max()) + 1, int(e.max()) + 1, v, e)
+        block = WalkOperator(part, walk.vertex_weights[pairs], walk.edge_weights[pairs])
+        blocks.append(np.linalg.eigvals(block.dense))
+    return np.concatenate(blocks)
 
 
 def _circle_sort(values: np.ndarray) -> np.ndarray:

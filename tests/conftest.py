@@ -53,8 +53,8 @@ def battery(seed: int = 2024):
     return [single_edge(), triangle(), six_by_four()] + random_instances(12, seed)
 
 
-def union_find_components(hg) -> int:
-    """Connected components of the incidence graph, by union-find over the pairs."""
+def union_find_partition(hg) -> set[frozenset[int]]:
+    """The vertex sets of the incidence graph's components, by union-find over the pairs."""
     parent = list(range(hg.n + hg.m))
 
     def find(x):
@@ -65,7 +65,25 @@ def union_find_components(hg) -> int:
 
     for v, e in zip(hg.pair_v.tolist(), hg.pair_e.tolist()):
         parent[find(v)] = find(hg.n + e)
-    return len({find(x) for x in range(hg.n + hg.m)})
+    parts: dict[int, set[int]] = {}
+    for v in range(hg.n):
+        parts.setdefault(find(v), set()).add(v)
+    return {frozenset(part) for part in parts.values()}
+
+
+def union_find_components(hg) -> int:
+    """Connected components of the incidence graph; no hyperedge is empty, so
+    every component holds a vertex."""
+    return len(union_find_partition(hg))
+
+
+def disjoint_union(*pieces) -> hw.Hypergraph:
+    """The hypergraphs side by side, each piece's vertices numbered after the last's."""
+    edges, offset = [], 0
+    for hg in pieces:
+        edges += [[v + offset for v in edge] for edge in hg.edge_sets()]
+        offset += hg.n
+    return hw.from_edge_lists(offset, edges)
 
 
 def random_state(size: int, seed: int) -> hw.StateVector:

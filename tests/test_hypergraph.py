@@ -13,8 +13,9 @@ from conftest import (
     six_by_four,
     triangle,
     union_find_components,
+    union_find_partition,
 )
-from hyperwalk.hypergraph import component_count
+from hyperwalk.hypergraph import component_count, component_labels
 
 
 def test_single_edge_incidence():
@@ -286,6 +287,14 @@ def test_is_connected_matches_breadth_first_search():
     assert not hw.is_connected(hw.from_edge_lists(n, path[:1000] + path[1001:]))
 
 
+def assert_labels_match_union_find(hg):
+    # Same partition as the reference, each part named by its smallest vertex.
+    labels = component_labels(hg)
+    parts = union_find_partition(hg)
+    assert {frozenset(np.flatnonzero(labels == label).tolist()) for label in set(labels.tolist())} == parts
+    assert all((labels[list(part)] == min(part)).all() for part in parts)
+
+
 def test_component_count_matches_union_find():
     rng = np.random.default_rng(9)
     for _ in range(200):
@@ -294,9 +303,12 @@ def test_component_count_matches_union_find():
         edges += [{v} for v in set(range(n)) - set().union(*edges)]
         hg = hw.from_edge_lists(n, edges)
         assert component_count(hg) == union_find_components(hg)
+        assert_labels_match_union_find(hg)
     n = 5000
     path = [{v, v + 1} for v in reversed(range(n - 1))]
-    assert component_count(hw.from_edge_lists(n, path[:1000] + path[1001:])) == 2
+    split = hw.from_edge_lists(n, path[:1000] + path[1001:])
+    assert component_count(split) == 2
+    assert_labels_match_union_find(split)
 
 
 def test_array_holding_dataclasses_compare_by_identity():

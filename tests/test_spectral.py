@@ -12,6 +12,7 @@ from conftest import (
     IRREGULAR,
     battery,
     cycle,
+    disjoint_union,
     edge_isometry,
     pipeline,
     random_instances,
@@ -296,15 +297,21 @@ STREAMED = [
     pytest.param(lambda: hw.random_regular_uniform(300, 200, 3, 2, seed=49), 1e-9, id="N600"),
     pytest.param(lambda: hw.random_regular_uniform(100, 150, 2, 3, seed=50), 1e-9, id="N300-wide"),
     pytest.param(lambda: cycle(200), 1e-3, id="cycle200-classify-tol-1e-3"),
+    # min(n, m) and the cycle count N - n - m + c at 30..34, around the block width.
+    pytest.param(lambda: hw.random_regular_uniform(60, 30, 4, 2, seed=51), 1e-9, id="min30-cycles31"),
+    pytest.param(lambda: hw.random_regular_uniform(62, 31, 4, 2, seed=51), 1e-9, id="min31-cycles32"),
+    pytest.param(lambda: hw.random_regular_uniform(64, 32, 4, 2, seed=51), 1e-9, id="min32-cycles33"),
+    pytest.param(lambda: hw.random_regular_uniform(66, 33, 4, 2, seed=51), 1e-9, id="min33-cycles34"),
+    pytest.param(lambda: disjoint_union(six_by_four(), cycle(33), triangle()), 1e-9, id="three-components"),
 ]
 
 
 @pytest.mark.parametrize("build, classify_tol", STREAMED)
 def test_streamed_residuals_match_dense_columns(build, classify_tol):
-    # Residuals come from column blocks built and dropped one at a time; they
-    # must equal the column norms of W V - V diag(lambda) for the eigenvector
-    # matrix V that the prediction builds on access. N = 256 is an exact
-    # multiple of the block width; the other sizes are not.
+    # Residuals come from blocks of recipes built and dropped one at a time;
+    # they must equal the column norms of W V - V diag(lambda) for the
+    # eigenvector matrix V that the prediction builds on access. N = 128 and
+    # N = 256 are exact multiples of the block width; the other sizes are not.
     hg = build()
     ts, walk = pipeline(hg)
     pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk, tol=classify_tol)
@@ -313,6 +320,61 @@ def test_streamed_residuals_match_dense_columns(build, classify_tol):
     np.testing.assert_array_equal(pred.eigenvectors, vectors)
     dense = np.linalg.norm(walk.dense @ vectors - vectors * pred.eigenvalues, axis=0)
     assert np.abs(pred.residuals - dense).max() <= 1e-12
+
+
+def spectrum_mid_union():
+    """The shape of the benchmark's two-component input: N = 600 + 600."""
+    return disjoint_union(
+        hw.random_regular_uniform(300, 200, 3, 2, seed=1), hw.random_regular_uniform(200, 150, 4, 3, seed=2)
+    )
+
+
+DISCONNECTED = [
+    pytest.param(spectrum_mid_union, id="spectrum-mid-union"),
+    *(
+        pytest.param(lambda case=case: hw.from_edge_lists(*case.values[:2]), id=case.id)
+        for case in IRREGULAR
+        if case.values[2] > 1
+    ),
+    pytest.param(lambda: hw.from_edge_lists(4, [{0}, {1}, {2}, {3}]), id="four-singletons"),
+    pytest.param(lambda: hw.from_edge_lists(5, [{0}, {1, 2}, {3}, {1, 2}, {4}, {4}]), id="singletons-and-a-pair"),
+    pytest.param(
+        lambda: disjoint_union(hw.from_edge_lists(4, [{0, 1, 2}, {2, 3}, {0, 3}]), six_by_four(), cycle(5)),
+        id="irregular-pieces",
+    ),
+]
+
+
+@pytest.mark.parametrize("build", DISCONNECTED)
+def test_blocked_oracle_matches_dense_eigvals(build):
+    # One eigvals per component must give the spectrum of the whole dense matrix.
+    hg = build()
+    _, walk = pipeline(hg)
+    assert union_find_components(hg) > 1
+    blocked = hw.brute_force_spectrum(walk)
+    assert blocked.shape == (walk.size,)
+    assert hw.pairing_distance(blocked, np.linalg.eigvals(walk.dense)) <= 1e-12
+
+
+def test_blocked_oracle_builds_no_dense_walk_matrix():
+    # The two blocks are 600 x 600, a quarter of the N x N walk matrix each.
+    hg = spectrum_mid_union()
+    _, walk = pipeline(hg)
+    hg.segments  # cached on first use, so the peak below does not include it
+    tracemalloc.start()
+    try:
+        hw.brute_force_spectrum(walk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * walk.size**2 * 8
+
+
+def test_blocked_oracle_rejects_labels_that_split_a_hyperedge(monkeypatch):
+    monkeypatch.setattr(hw.spectral, "component_labels", lambda hg: np.arange(hg.n))
+    _, walk = pipeline(triangle())
+    with pytest.raises(hw.HyperwalkError, match="component labels split a hyperedge"):
+        hw.brute_force_spectrum(walk)
 
 
 def test_oracle_and_prediction_memory_budget():
