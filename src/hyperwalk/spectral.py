@@ -92,10 +92,8 @@ class SpectrumPrediction:
     B nu are row gathers of SVD columns. No column is stored: eigenvectors
     builds the N x N matrix of unit eigenvectors on each access, and
     residuals streams blocks of recipes through the walk on first access.
-    A block is real @ coef, for the distinct real columns its recipes use and
-    the weights 1/scale and -phase/scale of each recipe's two. walk_action
-    acts on each real column once; as W is linear, (W real) @ coef -
-    real @ (coef lambda) is W x - lambda x in exact arithmetic, from real products.
+    A block is real @ coef over the distinct real columns it uses, each walked
+    once: as W is linear, (W real) @ coef - real @ (coef lambda) is W x - lambda x.
     """
 
     eigenvalues: np.ndarray
@@ -114,6 +112,7 @@ class SpectrumPrediction:
     def residuals(self) -> np.ndarray:
         """The walk_action residual ||W x - lambda x|| of every eigenvector x."""
         cycles = cycle_basis(self.walk.hypergraph)
+        # Each block's parts are dropped once their norms are taken, before the next is built.
         blocks = [slice(j, j + _RESIDUAL_BLOCK) for j in range(0, len(self.recipes), _RESIDUAL_BLOCK)]
         return np.concatenate([
             np.linalg.norm(self._evaluate(self.recipes[b], cycles, self.eigenvalues[b]), axis=(0, 1))
@@ -355,11 +354,10 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
 
     W only mixes pairs that share a vertex or a hyperedge, so with its pairs
     grouped by connected component it is exactly a permutation of
-    diag(W_1, ..., W_c), whose eigenvalues are the blocks' together. Each W_i
-    is the dense view of the walk on component i's pairs, with the same
-    weights; no N x N matrix is built when c > 1. The labels are used only
-    once every hyperedge's pairs are seen to carry one. Raises HyperwalkError
-    when a component has more pairs than the dense cap.
+    diag(W_1, ..., W_c), whose eigenvalues are the blocks' together. W_i is
+    the dense view on component i's pairs, renumbered in (v, e) order so the
+    weights stay aligned, built once every hyperedge's pairs carry one label.
+    Raises HyperwalkError when a component has more pairs than the dense cap.
     """
     hg = walk.hypergraph
     labels = component_labels(hg)[hg.pair_v]
@@ -367,9 +365,11 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     if not np.array_equal(labels[edge_order[edge_starts]][hg.pair_e], labels):
         raise HyperwalkError("component labels split a hyperedge")
     order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    if len(groups) == 1:
+        return np.linalg.eigvals(walk.dense)
     blocks = []
-    for pairs in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
-        # Renumbering keeps the pairs' (v, e) order, so the weights stay aligned.
+    for pairs in groups:
         v, e = (np.unique(ids[pairs], return_inverse=True)[1] for ids in (hg.pair_v, hg.pair_e))
         part = Hypergraph(int(v.max()) + 1, int(e.max()) + 1, v, e)
         block = WalkOperator(part, walk.vertex_weights[pairs], walk.edge_weights[pairs])
