@@ -90,8 +90,8 @@ class SpectrumPrediction:
     (A mu - phase B nu) / scale at idx, and "cycle" is column idx of the
     cycle basis, normalised. A and B have one nonzero per row, so A mu and
     B nu are row gathers of SVD columns. No column is stored: eigenvectors
-    builds the N x N matrix of unit eigenvectors on each access, and
-    residuals streams blocks of recipes through the walk on first access.
+    fills the N x N matrix of unit eigenvectors block by block on each access,
+    and residuals streams the blocks through the walk on first access.
     A block is real @ coef over the distinct real columns it uses, each walked
     once: as W is linear, (W real) @ coef - real @ (coef lambda) is W x - lambda x.
     """
@@ -105,8 +105,12 @@ class SpectrumPrediction:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        real, imag = self._evaluate(self.recipes, cycle_basis(self.walk.hypergraph))
-        return real + 1j * imag
+        cycles = cycle_basis(self.walk.hypergraph)
+        out = np.empty((self.walk.size, len(self.recipes)), dtype=np.complex128)
+        for j in range(0, out.shape[1], _RESIDUAL_BLOCK):
+            b = slice(j, j + _RESIDUAL_BLOCK)
+            out.real[:, b], out.imag[:, b] = self._evaluate(self.recipes[b], cycles)
+        return out
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -357,24 +361,27 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     diag(W_1, ..., W_c), whose eigenvalues are the blocks' together. W_i is
     the dense view on component i's pairs, renumbered in (v, e) order so the
     weights stay aligned, built once every hyperedge's pairs carry one label.
-    Raises HyperwalkError when a component has more pairs than the dense cap.
+    Raises HyperwalkError when N exceeds the dense cap, as for the whole matrix.
     """
+    cap = dense_cap()
+    if walk.size > cap:
+        raise HyperwalkError(f"pair dimension {walk.size} exceeds dense cap {cap}")
     hg = walk.hypergraph
     labels = component_labels(hg)[hg.pair_v]
     _, edge_order, edge_starts = hg.segments
     if not np.array_equal(labels[edge_order[edge_starts]][hg.pair_e], labels):
         raise HyperwalkError("component labels split a hyperedge")
     order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    if len(groups) == 1:
-        return np.linalg.eigvals(walk.dense)
-    blocks = []
-    for pairs in groups:
+    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), walk.size]
+    # Allocated before any block: made after one, it lands in the freed block's heap space.
+    spectrum = np.empty(walk.size, dtype=np.complex128)
+    for lo, hi in zip(cuts, cuts[1:]):
+        pairs = order[lo:hi]
         v, e = (np.unique(ids[pairs], return_inverse=True)[1] for ids in (hg.pair_v, hg.pair_e))
         part = Hypergraph(int(v.max()) + 1, int(e.max()) + 1, v, e)
         block = WalkOperator(part, walk.vertex_weights[pairs], walk.edge_weights[pairs])
-        blocks.append(np.linalg.eigvals(block.dense))
-    return np.concatenate(blocks)
+        spectrum[lo:hi] = np.linalg.eigvals(block.dense)
+    return spectrum
 
 
 def _circle_sort(values: np.ndarray) -> np.ndarray:

@@ -121,6 +121,26 @@ def test_evolve_zero_steps(single_edge_file, capsys):
     np.testing.assert_allclose(rows[0][1:], [0.0, 1.0, 0.0], atol=1e-15)
 
 
+def test_evolve_norm_failure_leaves_truncated_csv_and_empty_json(triangle_file, tmp_path, capsys, monkeypatch):
+    # A walk step that doubles the state fails the hard norm bound at t = 1.
+    # Rows are written to the --out file as they are computed, so the CSV
+    # keeps the header and row 0; the JSON document is written whole or not
+    # at all, so the file is left empty.
+    walk_action = hw.operators.walk_action
+    monkeypatch.setattr(hw.operators, "walk_action", lambda walk, x: 2 * walk_action(walk, x))
+    left = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"series.{fmt}"
+        out.write_text("old\n")
+        argv = ["evolve", triangle_file, "--start", "v:0", "--steps", "3", "--format", fmt, "--out", str(out)]
+        assert main(argv) == 2
+        assert "state norm" in capsys.readouterr().err
+        left[fmt] = out.read_text()
+    header, rows = read_csv(left["csv"])
+    assert header == ["t", "v0", "v1", "v2"] and [row[0] for row in rows] == [0]
+    assert left["json"] == ""
+
+
 def test_evolve_rows_sum_to_one(triangle_file, capsys):
     assert main(["evolve", triangle_file, "--start", "v:0", "--steps", "100"]) == 0
     _, rows = read_csv(capsys.readouterr().out)

@@ -208,6 +208,12 @@ def test_brute_force_requires_dense(monkeypatch):
     _, walk = pipeline(triangle())
     with pytest.raises(hw.HyperwalkError, match="pair dimension 6 exceeds dense cap 4"):
         hw.brute_force_spectrum(walk)
+    # The cap bounds N, not the largest component: two triangles are refused
+    # at a cap each of their 6-pair blocks would fit.
+    monkeypatch.setenv(hw.DENSE_CAP_ENV, "6")
+    _, walk = pipeline(disjoint_union(triangle(), triangle()))
+    with pytest.raises(hw.HyperwalkError, match="pair dimension 12 exceeds dense cap 6"):
+        hw.brute_force_spectrum(walk)
 
 
 def test_corrupted_prediction_fails_with_distance_two():
@@ -381,7 +387,8 @@ def test_oracle_and_prediction_memory_budget():
     # At N = 1200 the dense walk matrix is N^2 * 8 bytes. It is scattered
     # into the result, the only N x N array, from index arrays that stay
     # small even when one hyperedge holds every pair and W has no zero; the
-    # residual pass over the prediction keeps no N x N matrix at all.
+    # residual pass over the prediction keeps no N x N matrix at all, and the
+    # eigenvector matrix is the only N x N array built on its access.
     hg = hw.random_regular_uniform(600, 400, 3, 2, seed=1)
     ts, walk = pipeline(hg)
     _, crowded = pipeline(hw.from_edge_lists(1200, [range(1200)]))
@@ -401,6 +408,9 @@ def test_oracle_and_prediction_memory_budget():
     assert traced_peak(lambda: walk.dense) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: crowded.dense) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 2 * matrix_bytes
+    # The complex eigenvector matrix is 2 * matrix_bytes and is filled block by block.
+    prediction = hw.predict_spectrum(svd, walk)
+    assert traced_peak(lambda: prediction.eigenvectors) <= 2.5 * matrix_bytes
 
 
 def test_loose_classify_tol_tags_one_unit_and_passes():
