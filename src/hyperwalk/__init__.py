@@ -18,7 +18,6 @@ from .classical import (
 )
 from .errors import HgSyntaxError, HyperwalkError
 from .hypergraph import (
-    DegreeProfile,
     Hypergraph,
     degree_profile,
     from_edge_lists,
@@ -36,7 +35,6 @@ from .operators import (
     basis_pair_state,
     build_walk,
     dense_cap,
-    edge_distribution,
     evolve,
     vertex_distribution,
     vertex_superposition,
@@ -65,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CLASSIFY_TOL_DEFAULT",
     "DENSE_CAP_ENV",
-    "DegreeProfile",
     "Distribution",
     "HgSyntaxError",
     "Hypergraph",
@@ -89,7 +86,6 @@ __all__ = [
     "degree_profile",
     "dense_cap",
     "discriminant",
-    "edge_distribution",
     "evolve",
     "from_edge_lists",
     "full_svd",

@@ -211,11 +211,3 @@ def vertex_distribution(hg: Hypergraph, psi: StateVector) -> Distribution:
         raise HyperwalkError("state and pair space sizes differ")
     weights = np.abs(psi.amplitudes) ** 2
     return Distribution(np.bincount(hg.pair_v, weights=weights, minlength=hg.n))
-
-
-def edge_distribution(hg: Hypergraph, psi: StateVector) -> Distribution:
-    """Measurement marginal over hyperedges."""
-    if psi.amplitudes.size != hg.pair_v.size:
-        raise HyperwalkError("state and pair space sizes differ")
-    weights = np.abs(psi.amplitudes) ** 2
-    return Distribution(np.bincount(hg.pair_e, weights=weights, minlength=hg.m))

@@ -38,6 +38,16 @@ the eigenvalues of the dense walk matrix, one block per connected component
 scattered from its pairs independently of walk_action, and checks every
 predicted eigenvector's walk_action residual, in real arithmetic on blocks
 of per-eigenvalue recipes that are built and dropped in turn.
+
+The oracle spends no eigenvalue solve on the cycle space. A block's r
+fundamental cycles, with their closing pairs listed first, are C = [I; F],
+and W C = C makes T = [[I, 0], [F, I]] a similarity:
+T^-1 W T = [[I, W_cf], [0, W_ff - F W_cf]]. So the block's eigenvalues are r
+exact ones and those of a matrix of order n_i + m_i - 1. W C = C is checked
+on every block, with no tolerance: C holds integers, so its sums over each
+vertex's and each hyperedge's pairs are exact, and with the weights constant
+on those pairs, zero sums mean A^T C = B^T C = 0, so each reflection maps C
+to -C.
 """
 
 from __future__ import annotations
@@ -59,6 +69,7 @@ TOL_CEILING = 1e-3
 _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
 _RESIDUAL_BLOCK = 32  # recipes per residual block: N x 32 real columns stay in cache
+_REDUCE_ROWS = 64  # rows of the oracle's reduced matrix formed at a time
 
 
 def _check_tolerance(tol: float) -> float:
@@ -105,7 +116,7 @@ class SpectrumPrediction:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        cycles = cycle_basis(self.walk.hypergraph)
+        cycles, _ = cycle_basis(self.walk.hypergraph)
         out = np.empty((self.walk.size, len(self.recipes)), dtype=np.complex128)
         for j in range(0, out.shape[1], _RESIDUAL_BLOCK):
             b = slice(j, j + _RESIDUAL_BLOCK)
@@ -115,7 +126,7 @@ class SpectrumPrediction:
     @cached_property
     def residuals(self) -> np.ndarray:
         """The walk_action residual ||W x - lambda x|| of every eigenvector x."""
-        cycles = cycle_basis(self.walk.hypergraph)
+        cycles, _ = cycle_basis(self.walk.hypergraph)
         # Each block's parts are dropped once their norms are taken, before the next is built.
         blocks = [slice(j, j + _RESIDUAL_BLOCK) for j in range(0, len(self.recipes), _RESIDUAL_BLOCK)]
         return np.concatenate([
@@ -129,7 +140,7 @@ class SpectrumPrediction:
 
     def _evaluate(self, recipes, cycles: np.ndarray, values=None) -> np.ndarray:
         """The real and imaginary parts, stacked, of the recipes' eigenvectors
-        x or, given their eigenvalues, of W x - lambda x; cycles is cycle_basis(hypergraph)."""
+        x or, given their eigenvalues, of W x - lambda x; cycles is cycle_basis(hypergraph)[0]."""
         hg, walk = self.walk.hypergraph, self.walk
         start = {"A mu": 0, "interior": 0, "B nu": hg.n, "cycle": hg.n + hg.m}  # real column numbers
         keys = [(start[k] + i, hg.n + i if k == "interior" else start[k] + i) for k, i, *_ in recipes]
@@ -223,16 +234,17 @@ def classify_singular_values(sigma: np.ndarray, units: int, tol: float) -> tuple
     return ("unit",) * units + tuple("null" if s <= tol else "interior" for s in sigma[units:])
 
 
-def cycle_basis(hg: Hypergraph) -> np.ndarray:
-    """Signed fundamental cycles of a breadth-first spanning forest, one per column.
+def cycle_basis(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Signed fundamental cycles of a breadth-first spanning forest, and their closing pairs.
 
     The incidence graph has a node per vertex and per hyperedge and an edge
     per pair. Every pair left out of the forest closes one cycle with the
     forest path between its ends; the column holds +1 at each pair that
     cycle crosses vertex -> hyperedge and -1 at each pair it crosses
     hyperedge -> vertex, so it sums to 0 over every vertex's and every
-    hyperedge's pairs. The N x (N - n - m + c) result spans the walk's +1
-    complement; columns follow the order of their closing pairs.
+    hyperedge's pairs. The N x (N - n - m + c) int8 basis spans the walk's
+    +1 complement; column j is closed by pair closing[j], ascending, so the
+    basis restricted to the closing rows is the identity.
     """
     n, size = hg.n, hg.pair_v.size
     vertex_starts, edge_order, edge_starts = hg.segments
@@ -264,9 +276,9 @@ def cycle_basis(hg: Hypergraph) -> np.ndarray:
     is_vertex = np.arange(n + hg.m) < n
     parent = np.where(is_vertex, n + hg.pair_e[up], hg.pair_v[up])
     closing = np.flatnonzero(~in_forest)
-    basis = np.zeros((size, closing.size))
+    basis = np.zeros((size, closing.size), dtype=np.int8)
     columns = np.arange(closing.size)
-    basis[closing, columns] = 1.0
+    basis[closing, columns] = 1
     # Climb from both ends of each closing pair to their common ancestor.
     # The cycle runs v -> e over the closing pair and returns to v through
     # the forest, so it crosses the pairs climbed from the e end in the
@@ -275,13 +287,13 @@ def cycle_basis(hg: Hypergraph) -> np.ndarray:
     x, y = hg.pair_v[closing], n + hg.pair_e[closing]
     while columns.size:
         from_x, from_y = depth[x] >= depth[y], depth[y] >= depth[x]
-        basis[up[x[from_x]], columns[from_x]] = np.where(is_vertex[x[from_x]], -1.0, 1.0)
-        basis[up[y[from_y]], columns[from_y]] = np.where(is_vertex[y[from_y]], 1.0, -1.0)
+        basis[up[x[from_x]], columns[from_x]] = np.where(is_vertex[x[from_x]], -1, 1)
+        basis[up[y[from_y]], columns[from_y]] = np.where(is_vertex[y[from_y]], 1, -1)
         x = np.where(from_x, parent[x], x)
         y = np.where(from_y, parent[y], y)
         open_ = x != y
         x, y, columns = x[open_], y[open_], columns[open_]
-    return basis
+    return basis, closing
 
 
 def predict_spectrum(
@@ -361,6 +373,23 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     diag(W_1, ..., W_c), whose eigenvalues are the blocks' together. W_i is
     the dense view on component i's pairs, renumbered in (v, e) order so the
     weights stay aligned, built once every hyperedge's pairs carry one label.
+
+    Each block's cycle space is split off before eigvals. Let C be the
+    block's N_i x r cycle basis, ordered so that its r closing pairs come
+    first: C = [I; F], F holding the other pairs' rows. If W C = C, then with
+    T = [[I, 0], [F, I]], T^-1 = [[I, 0], [-F, I]] and W T = [[I, W_cf],
+    [F, W_ff]], so T^-1 W T = [[I, W_cf], [0, W_ff - F W_cf]]. That matrix is
+    block upper triangular: its eigenvalues are r ones and those of
+    W_ff - F W_cf, of order N_i - r = n_i + m_i - 1. Two exact checks prove
+    W C = C before it is used. The closing rows of C must be the identity,
+    and every column must sum to 0 over each vertex's pairs and over each
+    hyperedge's pairs. C is integer, so these sums involve no rounding. The
+    weights are constant on each vertex's and each hyperedge's pairs (also
+    checked), so the zero sums give A^T C = B^T C = 0, and each reflection
+    2P - I maps C to -C. A failed check raises HyperwalkError. The split is a
+    similarity for any columns that pass, so it never depends on how the
+    basis was found.
+
     Raises HyperwalkError when N exceeds the dense cap, as for the whole matrix.
     """
     cap = dense_cap()
@@ -380,8 +409,45 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
         v, e = (np.unique(ids[pairs], return_inverse=True)[1] for ids in (hg.pair_v, hg.pair_e))
         part = Hypergraph(int(v.max()) + 1, int(e.max()) + 1, v, e)
         block = WalkOperator(part, walk.vertex_weights[pairs], walk.edge_weights[pairs])
-        spectrum[lo:hi] = np.linalg.eigvals(block.dense)
+        _split_eigvals(block, spectrum[lo:hi])
     return spectrum
+
+
+def _split_eigvals(block: WalkOperator, out: np.ndarray) -> None:
+    """Write one connected block's eigenvalues to out: r exact ones, then eigvals(W_ff - F W_cf).
+
+    See brute_force_spectrum. Every array made here is dropped on return,
+    before the next block is built.
+    """
+    hg = block.hypergraph
+    vertex_starts, edge_order, edge_starts = hg.segments
+    a, b = block.vertex_weights, block.edge_weights
+    cycles, closing = cycle_basis(hg)
+    # Each operand is built and dropped in turn, so no second copy of the basis outlives its check.
+    invariant = (
+        np.array_equal(a, a[vertex_starts][hg.pair_v])
+        and np.array_equal(b, b[edge_order[edge_starts]][hg.pair_e])
+        and np.array_equal(cycles[closing], np.eye(closing.size, dtype=cycles.dtype))
+        and not np.add.reduceat(cycles, vertex_starts, dtype=np.int64).any()
+        and not np.add.reduceat(cycles[edge_order], edge_starts, dtype=np.int64).any()
+    )
+    if not invariant:
+        raise HyperwalkError("cycle basis is not an exactly invariant subspace of the walk")
+    forest = np.delete(np.arange(block.size), closing)
+    f = cycles[forest]
+    del cycles  # before the dense block is built
+    w = block.dense
+    w_cf, dim = w[np.ix_(closing, forest)], forest.size
+    # W_ff - F W_cf overwrites w's first dim**2 entries a block of rows at a time, so no second
+    # matrix of its size is held: forest ascends, so each block lands before every unread row.
+    flat = w.reshape(-1)
+    for lo in range(0, dim, _REDUCE_ROWS):
+        rows = slice(lo, lo + _REDUCE_ROWS)
+        reduced = w[np.ix_(forest[rows], forest)] - f[rows] @ w_cf
+        flat[lo * dim : lo * dim + reduced.size] = reduced.ravel()
+    del w_cf  # before eigvals takes its workspace
+    out[: closing.size] = 1.0
+    out[closing.size :] = np.linalg.eigvals(flat[: dim * dim].reshape(dim, dim))
 
 
 def _circle_sort(values: np.ndarray) -> np.ndarray:

@@ -265,7 +265,6 @@ def test_distributions_sum_to_one():
         size = hg.pair_v.size
         psi = random_state(size, seed=13 * size + 5)
         assert abs(hw.vertex_distribution(hg, psi).probabilities.sum() - 1.0) <= 1e-12
-        assert abs(hw.edge_distribution(hg, psi).probabilities.sum() - 1.0) <= 1e-12
 
 
 def test_uniform_state_marginals_triangle():
@@ -273,9 +272,6 @@ def test_uniform_state_marginals_triangle():
     psi = hw.StateVector(np.full(6, 1 / np.sqrt(6), dtype=complex))
     np.testing.assert_allclose(
         hw.vertex_distribution(hg, psi).probabilities, np.full(3, 1 / 3), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        hw.edge_distribution(hg, psi).probabilities, np.full(3, 1 / 3), atol=1e-14
     )
 
 

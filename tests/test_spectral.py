@@ -282,9 +282,10 @@ def test_cycle_basis_spans_the_complement():
     instances += random_instances(10, seed=47) + [cycle(7)]
     for hg in instances:
         ts, walk = pipeline(hg)
-        basis = cycle_basis(hg)
+        basis, closing = cycle_basis(hg)
         assert basis.shape == (walk.size, walk.size - hg.n - hg.m + union_find_components(hg))
-        assert set(np.unique(basis).tolist()) <= {-1.0, 0.0, 1.0}
+        assert set(np.unique(basis).tolist()) <= {-1, 0, 1}
+        np.testing.assert_array_equal(basis[closing], np.eye(basis.shape[1]))
         for column in basis.T:
             assert not np.bincount(hg.pair_v, weights=column, minlength=hg.n).any()
             assert not np.bincount(hg.pair_e, weights=column, minlength=hg.m).any()
@@ -351,15 +352,38 @@ DISCONNECTED = [
 ]
 
 
-@pytest.mark.parametrize("build", DISCONNECTED)
+def barbell(clique: int, path: int) -> hw.Hypergraph:
+    """Two complete 3-uniform hypergraphs on `clique` vertices, joined by a path of `path` edges."""
+    ends = [(i, j, k) for i in range(clique) for j in range(i + 1, clique) for k in range(j + 1, clique)]
+    left = [set(edge) for edge in ends]
+    bridge = [{clique - 1 + i, clique + i} for i in range(path)]
+    right = [{v + clique + path - 1 for v in edge} for edge in ends]
+    return hw.from_edge_lists(2 * clique + path - 1, left + bridge + right)
+
+
+# One component each: the benchmark's connected shapes at N = 300, a tree
+# (no cycle space), a single cycle, and a barbell with a small spectral gap.
+CONNECTED = [
+    pytest.param(lambda: hw.random_regular_uniform(150, 100, 3, 2, seed=1), id="tall-N300"),
+    pytest.param(lambda: hw.random_regular_uniform(100, 75, 4, 3, seed=1), id="cycles-N300"),
+    pytest.param(lambda: hw.random_regular_uniform(75, 100, 3, 4, seed=1), id="wide-N300"),
+    pytest.param(lambda: hw.from_edge_lists(151, [{i, i + 1} for i in range(150)]), id="path150"),
+    pytest.param(lambda: cycle(200), id="cycle200"),
+    pytest.param(lambda: barbell(7, 150), id="barbell-N510"),
+]
+
+
+@pytest.mark.parametrize("build", DISCONNECTED + CONNECTED)
 def test_blocked_oracle_matches_dense_eigvals(build):
-    # One eigvals per component must give the spectrum of the whole dense matrix.
+    # One split eigvals per component must give the spectrum of the whole dense matrix.
     hg = build()
     _, walk = pipeline(hg)
-    assert union_find_components(hg) > 1
     blocked = hw.brute_force_spectrum(walk)
     assert blocked.shape == (walk.size,)
     assert hw.pairing_distance(blocked, np.linalg.eigvals(walk.dense)) <= 1e-12
+    # The cycle space's r = N - n - m + c eigenvalues are exact ones.
+    assert np.count_nonzero(blocked == 1.0) >= walk.size - hg.n - hg.m + union_find_components(hg)
+    assert hw.analyze(hg).verdict == "pass"
 
 
 def test_blocked_oracle_builds_no_dense_walk_matrix():
@@ -381,6 +405,47 @@ def test_blocked_oracle_rejects_labels_that_split_a_hyperedge(monkeypatch):
     _, walk = pipeline(triangle())
     with pytest.raises(hw.HyperwalkError, match="component labels split a hyperedge"):
         hw.brute_force_spectrum(walk)
+
+
+def flip_one_sign(basis, closing):
+    row = np.flatnonzero(basis[:, 0])[0]
+    basis[row, 0] = -basis[row, 0]
+
+
+def move_one_closing_one(basis, closing):
+    basis[closing[0], 0], basis[closing[1], 0] = 0, 1
+
+
+def keep_only_the_closing_pair(basis, closing):
+    basis[:, 0] = 0
+    basis[closing[0], 0] = 1
+
+
+@pytest.mark.parametrize("tamper", [flip_one_sign, move_one_closing_one, keep_only_the_closing_pair])
+def test_split_oracle_rejects_a_tampered_cycle_basis(monkeypatch, tamper):
+    # The oracle trusts no cycle it has not checked: each tampering breaks
+    # W C = C or the identity on the closing pairs, and must raise.
+    _, walk = pipeline(hw.random_regular_uniform(12, 8, 3, 2, seed=3))
+    basis, closing = cycle_basis(walk.hypergraph)
+    assert basis.shape[1] >= 2 and np.flatnonzero(basis[:, 0])[0] != closing[0]
+
+    def tampered(hg):
+        basis, closing = cycle_basis(hg)
+        tamper(basis, closing)
+        return basis, closing
+
+    monkeypatch.setattr(hw.spectral, "cycle_basis", tampered)
+    with pytest.raises(hw.HyperwalkError, match="not an exactly invariant subspace"):
+        hw.brute_force_spectrum(walk)
+
+
+def test_split_oracle_rejects_weights_that_vary_within_a_vertex():
+    # With unequal weights on one vertex's pairs, zero integer sums no longer prove W C = C.
+    _, walk = pipeline(six_by_four())
+    a = walk.vertex_weights.copy()
+    a[:2] = [0.6, 0.8]  # vertex 0 keeps a unit column of A
+    with pytest.raises(hw.HyperwalkError, match="not an exactly invariant subspace"):
+        hw.brute_force_spectrum(hw.WalkOperator(walk.hypergraph, a, walk.edge_weights))
 
 
 def test_oracle_and_prediction_memory_budget():
@@ -407,6 +472,9 @@ def test_oracle_and_prediction_memory_budget():
 
     assert traced_peak(lambda: walk.dense) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: crowded.dense) <= 1.5 * matrix_bytes
+    # The oracle forms its reduced matrix inside the dense block, so it holds no second N x N array.
+    assert traced_peak(lambda: hw.brute_force_spectrum(walk)) <= 1.5 * matrix_bytes
+    assert traced_peak(lambda: hw.brute_force_spectrum(crowded)) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 2 * matrix_bytes
     # The complex eigenvector matrix is 2 * matrix_bytes and is filled block by block.
     prediction = hw.predict_spectrum(svd, walk)
