@@ -5,7 +5,9 @@ two-step classical walk (vertex -> hyperedge -> vertex); quantizing it on
 those pairs gives a two-reflection walk operator whose eigensystem is
 fully determined by the singular value decomposition of the discriminant
 matrix sqrt(p_ve * p_ev). This package builds every piece and verifies the
-predicted eigensystem against the eigenvalues of the dense walk matrix.
+predicted eigensystem against the walk's eigenvalues, found without the SVD
+from two symmetric eigenvalue problems per connected component:
+I - W = 2 R_B (P_B - P_A) and I + W = 2 R_B (P_A + P_B - I).
 """
 
 from .classical import (

@@ -14,8 +14,8 @@ has one column per hyperedge e, with amplitudes b = sqrt(p_ev). Each has one
 nonzero per row, so a WalkOperator holds only the two weight vectors over
 the pair list. A walk step is the reflection 2AA^T - I followed by
 2BB^T - I, which walk_action applies as segment sums in O(N). The dense walk
-matrix is a view scattered from the pair lists for the eig oracle and small
-tests.
+matrix, and sums of the dense projectors AA^T and BB^T for the eigenvalue
+oracle, are scattered from the pair lists.
 
 Amplitudes are complex throughout, even though the walk matrix is real
 orthogonal, because its eigenvectors are genuinely complex.
@@ -89,8 +89,7 @@ class WalkOperator:
         if incident. Each block of rows p lists every r sharing p's
         hyperedge (the support of BB^T) and every q sharing r's vertex; q
         shares p's vertex (the support of AA^T) where r = p. No (p, q)
-        repeats within a term. The row blocks hold the index arrays to about
-        max(N^2 / 16, 2^16) entries, however the pairs are grouped.
+        repeats within a term.
 
         Raises HyperwalkError when N exceeds the dense cap.
         """
@@ -102,10 +101,9 @@ class WalkOperator:
         vertex_starts, edge_order, edge_starts = hg.segments
         pairs = np.arange(self.size)
         out = np.zeros((self.size, self.size))
-        step = max(-(-self.size // _SCATTER_BLOCKS), _SCATTER_ENTRIES // self.size)
-        for lo in range(0, self.size, step):
-            at, r = _sharing(pairs[lo : lo + step], edge_order, edge_starts, hg.pair_e)
-            p = lo + at
+        for rows in self._row_blocks():
+            at, r = _sharing(rows, edge_order, edge_starts, hg.pair_e)
+            p = rows[at]
             at, q = _sharing(r, pairs, vertex_starts, hg.pair_v)
             pq, rq = p[at], r[at]
             out[pq, q] = 4.0 * b[pq] * b[rq] * a[rq] * a[q]
@@ -114,6 +112,38 @@ class WalkOperator:
             out[pq[own], q[own]] -= 2.0 * a[pq[own]] * a[q[own]]
         out[pairs, pairs] += 1.0
         return out
+
+    def add_projectors(self, out: np.ndarray, vertex_scale: float, edge_scale: float) -> None:
+        """Add vertex_scale AA^T + edge_scale BB^T to the N x N matrix out, in place.
+
+        (AA^T)[p, q] = a_p a_q where p and q share a vertex, and
+        (BB^T)[p, q] = b_p b_q where they share a hyperedge; a zero scale
+        skips its term. Scattered a block of rows at a time, as dense is.
+        """
+        hg = self.hypergraph
+        vertex_starts, edge_order, edge_starts = hg.segments
+        terms = [
+            (vertex_scale, self.vertex_weights, np.arange(self.size), vertex_starts, hg.pair_v),
+            (edge_scale, self.edge_weights, edge_order, edge_starts, hg.pair_e),
+        ]
+        for rows in self._row_blocks():
+            for scale, w, order, starts, group in terms:
+                if scale:
+                    at, q = _sharing(rows, order, starts, group)
+                    p = rows[at]
+                    out[p, q] += scale * w[p] * w[q]
+
+    def _row_blocks(self):
+        """The pair numbers in blocks of rows that each scatter at most
+        max(N^2 / 32, 2^15) entries, however the pairs are grouped: a row
+        meets at most (largest degree) x (largest hyperedge) pairs. With
+        small groups one block takes every row, so no index array is small
+        enough for numpy to cache and keep between large matrices."""
+        vertex_starts, _, edge_starts = self.hypergraph.segments
+        per_row = int(np.diff(vertex_starts, append=self.size).max() * np.diff(edge_starts, append=self.size).max())
+        step = max(1, max(self.size**2 // _SCATTER_BLOCKS, _SCATTER_ENTRIES) // per_row)
+        pairs = np.arange(self.size)
+        return (pairs[lo : lo + step] for lo in range(0, self.size, step))
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,20 +34,26 @@ by construction, however rounding left them; only the null tags are read
 against a tolerance.
 
 Multiplicities total N. Verification pairs the predicted multiset against
-the eigenvalues of the dense walk matrix, one block per connected component
-scattered from its pairs independently of walk_action, and checks every
+eigenvalues computed independently of the SVD and of walk_action, one block
+per connected component scattered from its pairs, and checks every
 predicted eigenvector's walk_action residual, in real arithmetic on blocks
 of per-eigenvalue recipes that are built and dropped in turn.
 
-The oracle spends no eigenvalue solve on the cycle space. A block's r
-fundamental cycles, with their closing pairs listed first, are C = [I; F],
-and W C = C makes T = [[I, 0], [F, I]] a similarity:
-T^-1 W T = [[I, W_cf], [0, W_ff - F W_cf]]. So the block's eigenvalues are r
-exact ones and those of a matrix of order n_i + m_i - 1. W C = C is checked
-on every block, with no tolerance: C holds integers, so its sums over each
-vertex's and each hyperedge's pairs are exact, and with the weights constant
-on those pairs, zero sums mean A^T C = B^T C = 0, so each reflection maps C
-to -C.
+The oracle solves two symmetric eigenproblems instead of a general one.
+With P_A = AA^T and P_B = BB^T, the walk is W = R_B R_A for the reflections
+R = 2P - I, each an orthogonal involution, so
+I - W = R_B (R_B - R_A) = 2 R_B (P_B - P_A) and
+I + W = R_B (R_B + R_A) = 2 R_B (P_A + P_B - I). W is normal, so the
+singular values of I -/+ W are |1 -/+ exp(i phi)| over its eigenphases phi,
+and R_B is orthogonal, so they are twice the absolute eigenvalues of the
+symmetric Y = P_B - P_A and X = P_A + P_B - I: |sin(phi / 2)| and
+|cos(phi / 2)|. Each gives every |phi|, but arcsin and arccos lose accuracy
+near 1: Y alone leaves the eigenvalues near -1 with errors of about
+sqrt(eps), X those near +1. So each rank of the sorted |phi| is read from
+Y up to pi/2 and from X beyond. W is real, so its non-real eigenvalues come
+in conjugate pairs, adjacent in that order; alternating signs give each pair
+one of each, and the unpaired +1 and -1 sit at the ends, where the sign does
+not matter.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ TOL_CEILING = 1e-3
 _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
 _RESIDUAL_BLOCK = 32  # recipes per residual block: N x 32 real columns stay in cache
-_REDUCE_ROWS = 64  # rows of the oracle's reduced matrix formed at a time
+_ISOMETRY_TOL = 1e-12  # on each vertex's and each hyperedge's sum of squared weights
 
 
 def _check_tolerance(tol: float) -> float:
@@ -100,9 +106,8 @@ class SpectrumPrediction:
     idx of A U, "B nu" column idx of B V, "interior" is
     (A mu - phase B nu) / scale at idx, and "cycle" is column idx of the
     cycle basis, normalised. A and B have one nonzero per row, so A mu and
-    B nu are row gathers of SVD columns. No column is stored: eigenvectors
-    fills the N x N matrix of unit eigenvectors block by block on each access,
-    and residuals streams the blocks through the walk on first access.
+    B nu are row gathers of SVD columns. No column is stored: residuals
+    streams blocks of eigenvectors through the walk on first access.
     A block is real @ coef over the distinct real columns it uses, each walked
     once: as W is linear, (W real) @ coef - real @ (coef lambda) is W x - lambda x.
     """
@@ -113,15 +118,6 @@ class SpectrumPrediction:
     svd: SvdResult
     walk: WalkOperator
     recipes: tuple[tuple[str, int, complex, float], ...]
-
-    @property
-    def eigenvectors(self) -> np.ndarray:
-        cycles, _ = cycle_basis(self.walk.hypergraph)
-        out = np.empty((self.walk.size, len(self.recipes)), dtype=np.complex128)
-        for j in range(0, out.shape[1], _RESIDUAL_BLOCK):
-            b = slice(j, j + _RESIDUAL_BLOCK)
-            out.real[:, b], out.imag[:, b] = self._evaluate(self.recipes[b], cycles)
-        return out
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -366,31 +362,30 @@ def predict_spectrum(
 
 
 def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
-    """Independent oracle: the eigenvalues of the dense walk matrix, block by block.
+    """Independent oracle: the walk's eigenvalues from two symmetric solves per component.
 
     W only mixes pairs that share a vertex or a hyperedge, so with its pairs
     grouped by connected component it is exactly a permutation of
-    diag(W_1, ..., W_c), whose eigenvalues are the blocks' together. W_i is
-    the dense view on component i's pairs, renumbered in (v, e) order so the
-    weights stay aligned, built once every hyperedge's pairs carry one label.
+    diag(W_1, ..., W_c), whose eigenvalues are the blocks' together. Each
+    block is renumbered in (v, e) order so the weights stay aligned, built
+    once every hyperedge's pairs carry one label.
 
-    Each block's cycle space is split off before eigvals. Let C be the
-    block's N_i x r cycle basis, ordered so that its r closing pairs come
-    first: C = [I; F], F holding the other pairs' rows. If W C = C, then with
-    T = [[I, 0], [F, I]], T^-1 = [[I, 0], [-F, I]] and W T = [[I, W_cf],
-    [F, W_ff]], so T^-1 W T = [[I, W_cf], [0, W_ff - F W_cf]]. That matrix is
-    block upper triangular: its eigenvalues are r ones and those of
-    W_ff - F W_cf, of order N_i - r = n_i + m_i - 1. Two exact checks prove
-    W C = C before it is used. The closing rows of C must be the identity,
-    and every column must sum to 0 over each vertex's pairs and over each
-    hyperedge's pairs. C is integer, so these sums involve no rounding. The
-    weights are constant on each vertex's and each hyperedge's pairs (also
-    checked), so the zero sums give A^T C = B^T C = 0, and each reflection
-    2P - I maps C to -C. A failed check raises HyperwalkError. The split is a
-    similarity for any columns that pass, so it never depends on how the
-    basis was found.
+    Per block, eigvalsh of Y = P_B - P_A and of X = P_A + P_B - I, each
+    scattered from the pair lists, give |sin(phi / 2)| and |cos(phi / 2)|
+    over the block's eigenphases phi. The identities behind this,
+    I - W = 2 R_B Y and I + W = 2 R_B X, hold because R_B is an orthogonal
+    involution, and W is normal, so the singular values of I -/+ W are
+    |1 -/+ exp(i phi)|. Sorted, the two give the same ranks of |phi|. A rank
+    is read from Y where that reading is at most pi/2, where arcsin is well
+    conditioned, and from X beyond, where arccos is. One solve is not
+    enough: Y alone puts the phases near pi off by about sqrt(eps), and X
+    those near 0. W is real, so its non-real eigenvalues are conjugate
+    pairs, adjacent in rank. The signs alternate along the ranks, giving
+    each pair one of each; the unpaired +1 and -1 at the ends take either.
 
-    Raises HyperwalkError when N exceeds the dense cap, as for the whole matrix.
+    The identities need A and B to be isometries, so each vertex's and each
+    hyperedge's squared weights must sum to 1 within 1e-12. Otherwise
+    HyperwalkError is raised, as it is when N exceeds the dense cap.
     """
     cap = dense_cap()
     if walk.size > cap:
@@ -409,45 +404,33 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
         v, e = (np.unique(ids[pairs], return_inverse=True)[1] for ids in (hg.pair_v, hg.pair_e))
         part = Hypergraph(int(v.max()) + 1, int(e.max()) + 1, v, e)
         block = WalkOperator(part, walk.vertex_weights[pairs], walk.edge_weights[pairs])
-        _split_eigvals(block, spectrum[lo:hi])
+        _reflection_eigenvalues(block, spectrum[lo:hi])
     return spectrum
 
 
-def _split_eigvals(block: WalkOperator, out: np.ndarray) -> None:
-    """Write one connected block's eigenvalues to out: r exact ones, then eigvals(W_ff - F W_cf).
+def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
+    """Write one connected block's eigenvalues to out, from eigvalsh of Y and then of X.
 
-    See brute_force_spectrum. Every array made here is dropped on return,
-    before the next block is built.
+    See brute_force_spectrum. X is built over Y's buffer, and every array
+    made here is dropped on return, before the next block is built.
     """
-    hg = block.hypergraph
-    vertex_starts, edge_order, edge_starts = hg.segments
-    a, b = block.vertex_weights, block.edge_weights
-    cycles, closing = cycle_basis(hg)
-    # Each operand is built and dropped in turn, so no second copy of the basis outlives its check.
-    invariant = (
-        np.array_equal(a, a[vertex_starts][hg.pair_v])
-        and np.array_equal(b, b[edge_order[edge_starts]][hg.pair_e])
-        and np.array_equal(cycles[closing], np.eye(closing.size, dtype=cycles.dtype))
-        and not np.add.reduceat(cycles, vertex_starts, dtype=np.int64).any()
-        and not np.add.reduceat(cycles[edge_order], edge_starts, dtype=np.int64).any()
+    vertex_starts, edge_order, edge_starts = block.hypergraph.segments
+    sums = (
+        np.add.reduceat(block.vertex_weights**2, vertex_starts),
+        np.add.reduceat(block.edge_weights[edge_order] ** 2, edge_starts),
     )
-    if not invariant:
-        raise HyperwalkError("cycle basis is not an exactly invariant subspace of the walk")
-    forest = np.delete(np.arange(block.size), closing)
-    f = cycles[forest]
-    del cycles  # before the dense block is built
-    w = block.dense
-    w_cf, dim = w[np.ix_(closing, forest)], forest.size
-    # W_ff - F W_cf overwrites w's first dim**2 entries a block of rows at a time, so no second
-    # matrix of its size is held: forest ascends, so each block lands before every unread row.
-    flat = w.reshape(-1)
-    for lo in range(0, dim, _REDUCE_ROWS):
-        rows = slice(lo, lo + _REDUCE_ROWS)
-        reduced = w[np.ix_(forest[rows], forest)] - f[rows] @ w_cf
-        flat[lo * dim : lo * dim + reduced.size] = reduced.ravel()
-    del w_cf  # before eigvals takes its workspace
-    out[: closing.size] = 1.0
-    out[closing.size :] = np.linalg.eigvals(flat[: dim * dim].reshape(dim, dim))
+    if not all((np.abs(s - 1.0) <= _ISOMETRY_TOL).all() for s in sums):
+        raise HyperwalkError("walk weights do not make A and B isometries")
+    matrix = np.zeros((block.size, block.size))
+    block.add_projectors(matrix, -1.0, 1.0)  # Y
+    low = 2.0 * np.arcsin(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix))), 1.0))
+    block.add_projectors(matrix, 2.0, 0.0)  # X = Y + 2 P_A - I
+    matrix[np.diag_indices(block.size)] -= 1.0
+    # Descending |cos(phi / 2)| is ascending |phi|, so both lists rank |phi| alike.
+    high = 2.0 * np.arccos(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1], 1.0))
+    phases = np.where(low <= np.pi / 2, low, high)
+    phases[1::2] *= -1.0
+    out[:] = np.exp(1j * phases)
 
 
 def _circle_sort(values: np.ndarray) -> np.ndarray:
@@ -512,12 +495,12 @@ def analyze(
     verify_tol = _check_tolerance(verify_tol)
     ts = build_transitions(hg)
     walk = build_walk(ts)
+    verifiable = walk.size <= dense_cap()
+    # The oracle runs first, so its dense blocks are freed before the SVD
+    # allocates and before any eigenvector block is built.
+    actual = brute_force_spectrum(walk) if verifiable else None
     svd = full_svd(discriminant(ts))
     prediction = predict_spectrum(svd, walk, tol=classify_tol)
-    verifiable = walk.size <= dense_cap()
-    # The oracle runs before verify reads the residuals, so the dense walk
-    # matrix is freed before any eigenvector block is built.
-    actual = brute_force_spectrum(walk) if verifiable else None
     profile = degree_profile(hg)
     if verifiable:
         verdict = verify(prediction, actual, tol=verify_tol)

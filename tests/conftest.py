@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
+from hyperwalk.spectral import _RESIDUAL_BLOCK, cycle_basis
 
 FIG1_PARAMS = dict(n=6, m=4, k=3, d=2)
 
@@ -36,6 +37,12 @@ def six_by_four() -> hw.Hypergraph:
 def cycle(n: int) -> hw.Hypergraph:
     """The n-cycle as a 2-uniform 2-regular hypergraph."""
     return hw.from_edge_lists(n, [{i, (i + 1) % n} for i in range(n)])
+
+
+def hub_and_rim(n: int) -> hw.Hypergraph:
+    """One hyperedge over all n vertices plus the n-cycle (N = 3n): a row meets
+    up to 3n pairs, so the dense scatters run in several row blocks."""
+    return hw.from_edge_lists(n, [range(n)] + [{i, (i + 1) % n} for i in range(n)])
 
 
 def random_instances(count: int, seed: int, max_n: int = 40, max_pairs: int = 256):
@@ -110,3 +117,14 @@ def edge_isometry(walk) -> np.ndarray:
     b = np.zeros((walk.size, walk.hypergraph.m))
     b[np.arange(walk.size), walk.hypergraph.pair_e] = walk.edge_weights
     return b
+
+
+def eigenvectors(prediction) -> np.ndarray:
+    """The N x N matrix of the prediction's unit eigenvectors, one column per
+    recipe, filled a residual block at a time so no second N x N array is held."""
+    cycles, _ = cycle_basis(prediction.walk.hypergraph)
+    out = np.empty((prediction.walk.size, len(prediction.recipes)), dtype=np.complex128)
+    for j in range(0, out.shape[1], _RESIDUAL_BLOCK):
+        b = slice(j, j + _RESIDUAL_BLOCK)
+        out.real[:, b], out.imag[:, b] = prediction._evaluate(prediction.recipes[b], cycles)
+    return out

@@ -8,6 +8,7 @@ from conftest import (
     IRREGULAR,
     battery,
     edge_isometry,
+    hub_and_rim,
     pipeline,
     random_instances,
     random_state,
@@ -118,6 +119,7 @@ def test_dense_matrix_is_product_of_reflections():
         hw.random_regular_uniform(256, 128, 4, 2, seed=51),
         hw.random_regular_uniform(300, 200, 3, 2, seed=49),
         hw.from_edge_lists(40, [range(40), {0, 1}, range(5, 30)]),
+        hub_and_rim(301),
     ]
     for hg in instances:
         _, walk = pipeline(hg)

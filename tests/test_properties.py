@@ -64,6 +64,13 @@ def test_analyze_counts_one_unit_per_component_and_passes(hg, classify_tol):
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(hg=hypergraphs())
+def test_oracle_matches_dense_eigvals(hg):
+    _, walk = pipeline(hg)
+    assert hw.pairing_distance(hw.brute_force_spectrum(walk), np.linalg.eigvals(walk.dense)) <= 1e-12
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hg=hypergraphs())
 def test_parse_inverts_serialize(hg):
     back = hw.parse(hw.serialize(hg))
     assert back.n == hg.n

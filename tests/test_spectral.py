@@ -14,6 +14,8 @@ from conftest import (
     cycle,
     disjoint_union,
     edge_isometry,
+    eigenvectors,
+    hub_and_rim,
     pipeline,
     random_instances,
     random_state,
@@ -158,7 +160,7 @@ def test_predicted_vectors_are_unit_norm():
     for hg in [triangle(), six_by_four()] + random_instances(5, seed=42):
         ts, walk = pipeline(hg)
         pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
-        norms = np.linalg.norm(pred.eigenvectors, axis=0)
+        norms = np.linalg.norm(eigenvectors(pred), axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-12
 
 
@@ -292,7 +294,7 @@ def test_cycle_basis_spans_the_complement():
         assert np.linalg.matrix_rank(basis) == basis.shape[1]
         pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
         assert sum(kind == "cycle" for kind, *_ in pred.recipes) == basis.shape[1]
-        assert np.abs(np.linalg.norm(pred.eigenvectors, axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(np.linalg.norm(eigenvectors(pred), axis=0) - 1.0).max() <= 1e-12
 
 
 STREAMED = [
@@ -322,9 +324,9 @@ def test_streamed_residuals_match_dense_columns(build, classify_tol):
     hg = build()
     ts, walk = pipeline(hg)
     pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk, tol=classify_tol)
-    vectors = pred.eigenvectors
+    vectors = eigenvectors(pred)
     assert vectors.shape == (walk.size, walk.size) and vectors.dtype == np.complex128
-    np.testing.assert_array_equal(pred.eigenvectors, vectors)
+    np.testing.assert_array_equal(eigenvectors(pred), vectors)
     dense = np.linalg.norm(walk.dense @ vectors - vectors * pred.eigenvalues, axis=0)
     assert np.abs(pred.residuals - dense).max() <= 1e-12
 
@@ -362,7 +364,7 @@ def barbell(clique: int, path: int) -> hw.Hypergraph:
 
 
 # One component each: the benchmark's connected shapes at N = 300, a tree
-# (no cycle space), a single cycle, and a barbell with a small spectral gap.
+# (no cycle space), single cycles, and a barbell with a small spectral gap.
 CONNECTED = [
     pytest.param(lambda: hw.random_regular_uniform(150, 100, 3, 2, seed=1), id="tall-N300"),
     pytest.param(lambda: hw.random_regular_uniform(100, 75, 4, 3, seed=1), id="cycles-N300"),
@@ -370,19 +372,23 @@ CONNECTED = [
     pytest.param(lambda: hw.from_edge_lists(151, [{i, i + 1} for i in range(150)]), id="path150"),
     pytest.param(lambda: cycle(200), id="cycle200"),
     pytest.param(lambda: barbell(7, 150), id="barbell-N510"),
+    # Eigenvalues exactly at +/- i: the pi/2 seam between the oracle's two solves.
+    pytest.param(lambda: cycle(8), id="cycle8"),
+    pytest.param(lambda: hub_and_rim(301), id="hub-and-rim-N903"),
 ]
 
 
 @pytest.mark.parametrize("build", DISCONNECTED + CONNECTED)
 def test_blocked_oracle_matches_dense_eigvals(build):
-    # One split eigvals per component must give the spectrum of the whole dense matrix.
+    # Two symmetric solves per component must give the spectrum of the whole dense matrix.
     hg = build()
     _, walk = pipeline(hg)
     blocked = hw.brute_force_spectrum(walk)
     assert blocked.shape == (walk.size,)
     assert hw.pairing_distance(blocked, np.linalg.eigvals(walk.dense)) <= 1e-12
-    # The cycle space's r = N - n - m + c eigenvalues are exact ones.
-    assert np.count_nonzero(blocked == 1.0) >= walk.size - hg.n - hg.m + union_find_components(hg)
+    # The cycle space's r = N - n - m + c eigenvalues are ones.
+    r = walk.size - hg.n - hg.m + union_find_components(hg)
+    assert np.count_nonzero(np.abs(blocked - 1.0) <= 1e-13) >= r
     assert hw.analyze(hg).verdict == "pass"
 
 
@@ -407,45 +413,23 @@ def test_blocked_oracle_rejects_labels_that_split_a_hyperedge(monkeypatch):
         hw.brute_force_spectrum(walk)
 
 
-def flip_one_sign(basis, closing):
-    row = np.flatnonzero(basis[:, 0])[0]
-    basis[row, 0] = -basis[row, 0]
-
-
-def move_one_closing_one(basis, closing):
-    basis[closing[0], 0], basis[closing[1], 0] = 0, 1
-
-
-def keep_only_the_closing_pair(basis, closing):
-    basis[:, 0] = 0
-    basis[closing[0], 0] = 1
-
-
-@pytest.mark.parametrize("tamper", [flip_one_sign, move_one_closing_one, keep_only_the_closing_pair])
-def test_split_oracle_rejects_a_tampered_cycle_basis(monkeypatch, tamper):
-    # The oracle trusts no cycle it has not checked: each tampering breaks
-    # W C = C or the identity on the closing pairs, and must raise.
-    _, walk = pipeline(hw.random_regular_uniform(12, 8, 3, 2, seed=3))
-    basis, closing = cycle_basis(walk.hypergraph)
-    assert basis.shape[1] >= 2 and np.flatnonzero(basis[:, 0])[0] != closing[0]
-
-    def tampered(hg):
-        basis, closing = cycle_basis(hg)
-        tamper(basis, closing)
-        return basis, closing
-
-    monkeypatch.setattr(hw.spectral, "cycle_basis", tampered)
-    with pytest.raises(hw.HyperwalkError, match="not an exactly invariant subspace"):
-        hw.brute_force_spectrum(walk)
-
-
-def test_split_oracle_rejects_weights_that_vary_within_a_vertex():
-    # With unequal weights on one vertex's pairs, zero integer sums no longer prove W C = C.
+def test_oracle_accepts_weights_that_vary_within_a_vertex():
+    # The oracle needs A and B to be isometries, not constant weights on a vertex's pairs.
     _, walk = pipeline(six_by_four())
     a = walk.vertex_weights.copy()
     a[:2] = [0.6, 0.8]  # vertex 0 keeps a unit column of A
-    with pytest.raises(hw.HyperwalkError, match="not an exactly invariant subspace"):
-        hw.brute_force_spectrum(hw.WalkOperator(walk.hypergraph, a, walk.edge_weights))
+    varied = hw.WalkOperator(walk.hypergraph, a, walk.edge_weights)
+    assert hw.pairing_distance(hw.brute_force_spectrum(varied), np.linalg.eigvals(varied.dense)) <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["vertex", "edge"])
+def test_oracle_rejects_weights_that_are_not_isometries(side):
+    # Scaling one pair's weight breaks the unit sum of its vertex's, or its hyperedge's, weights.
+    _, walk = pipeline(six_by_four())
+    a, b = walk.vertex_weights.copy(), walk.edge_weights.copy()
+    (a if side == "vertex" else b)[0] *= 1.001
+    with pytest.raises(hw.HyperwalkError, match="do not make A and B isometries"):
+        hw.brute_force_spectrum(hw.WalkOperator(walk.hypergraph, a, b))
 
 
 def test_oracle_and_prediction_memory_budget():
@@ -472,13 +456,13 @@ def test_oracle_and_prediction_memory_budget():
 
     assert traced_peak(lambda: walk.dense) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: crowded.dense) <= 1.5 * matrix_bytes
-    # The oracle forms its reduced matrix inside the dense block, so it holds no second N x N array.
+    # The oracle builds X over Y's buffer, so it holds no second N x N array.
     assert traced_peak(lambda: hw.brute_force_spectrum(walk)) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: hw.brute_force_spectrum(crowded)) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 2 * matrix_bytes
     # The complex eigenvector matrix is 2 * matrix_bytes and is filled block by block.
     prediction = hw.predict_spectrum(svd, walk)
-    assert traced_peak(lambda: prediction.eigenvectors) <= 2.5 * matrix_bytes
+    assert traced_peak(lambda: eigenvectors(prediction)) <= 2.5 * matrix_bytes
 
 
 def test_loose_classify_tol_tags_one_unit_and_passes():
