@@ -6,6 +6,7 @@ Run with: python3 demos/04_spectral_verification.py
 import numpy as np
 
 import hyperwalk as hw
+from hyperwalk.spectral import group_eigenvalues
 
 # The discriminant matrix sqrt(p_ve * p_ev) ties the classical chain to the
 # quantum walk: its singular values sigma = cos(theta) are the cosines of
@@ -28,7 +29,7 @@ print("classification:", hw.classify_singular_values(svd.singular_values, units=
 walk = hw.build_walk(ts)
 pred = hw.predict_spectrum(svd, walk)
 print("\npredicted eigenvalues (grouped):")
-for z, count in hw.group_eigenvalues(pred.eigenvalues):
+for z, count in group_eigenvalues(pred.eigenvalues):
     print(f"  {z:.6f} x {count}")
 
 actual = hw.brute_force_spectrum(walk)

@@ -113,12 +113,13 @@ class WalkOperator:
         out[pairs, pairs] += 1.0
         return out
 
-    def add_projectors(self, out: np.ndarray, vertex_scale: float, edge_scale: float) -> None:
-        """Add vertex_scale AA^T + edge_scale BB^T to the N x N matrix out, in place.
+    def add_projectors(self, out: np.ndarray, vertex_scale: float, edge_scale: float, start: int = 0) -> None:
+        """Add vertex_scale AA^T + edge_scale BB^T, on the pairs from start on, to out, in place.
 
         (AA^T)[p, q] = a_p a_q where p and q share a vertex, and
         (BB^T)[p, q] = b_p b_q where they share a hyperedge; a zero scale
-        skips its term. Scattered a block of rows at a time, as dense is.
+        skips its term. Pair p is row and column p - start of out.
+        Scattered a block of rows at a time, as dense is.
         """
         hg = self.hypergraph
         vertex_starts, edge_order, edge_starts = hg.segments
@@ -126,14 +127,14 @@ class WalkOperator:
             (vertex_scale, self.vertex_weights, np.arange(self.size), vertex_starts, hg.pair_v),
             (edge_scale, self.edge_weights, edge_order, edge_starts, hg.pair_e),
         ]
-        for rows in self._row_blocks():
+        for rows in self._row_blocks(start):
             for scale, w, order, starts, group in terms:
                 if scale:
                     at, q = _sharing(rows, order, starts, group)
-                    p = rows[at]
-                    out[p, q] += scale * w[p] * w[q]
+                    p, q = rows[at][q >= start], q[q >= start]
+                    out[p - start, q - start] += scale * w[p] * w[q]
 
-    def _row_blocks(self):
+    def _row_blocks(self, start: int = 0):
         """The pair numbers in blocks of rows that each scatter at most
         max(N^2 / 32, 2^15) entries, however the pairs are grouped: a row
         meets at most (largest degree) x (largest hyperedge) pairs. With
@@ -143,7 +144,7 @@ class WalkOperator:
         per_row = int(np.diff(vertex_starts, append=self.size).max() * np.diff(edge_starts, append=self.size).max())
         step = max(1, max(self.size**2 // _SCATTER_BLOCKS, _SCATTER_ENTRIES) // per_row)
         pairs = np.arange(self.size)
-        return (pairs[lo : lo + step] for lo in range(0, self.size, step))
+        return (pairs[lo : lo + step] for lo in range(start, self.size, step))
 
 
 @dataclass(frozen=True, eq=False)

@@ -39,21 +39,13 @@ per connected component scattered from its pairs, and checks every
 predicted eigenvector's walk_action residual, in real arithmetic on blocks
 of per-eigenvalue recipes that are built and dropped in turn.
 
-The oracle solves two symmetric eigenproblems instead of a general one.
-With P_A = AA^T and P_B = BB^T, the walk is W = R_B R_A for the reflections
-R = 2P - I, each an orthogonal involution, so
-I - W = R_B (R_B - R_A) = 2 R_B (P_B - P_A) and
-I + W = R_B (R_B + R_A) = 2 R_B (P_A + P_B - I). W is normal, so the
-singular values of I -/+ W are |1 -/+ exp(i phi)| over its eigenphases phi,
-and R_B is orthogonal, so they are twice the absolute eigenvalues of the
-symmetric Y = P_B - P_A and X = P_A + P_B - I: |sin(phi / 2)| and
-|cos(phi / 2)|. Each gives every |phi|, but arcsin and arccos lose accuracy
-near 1: Y alone leaves the eigenvalues near -1 with errors of about
-sqrt(eps), X those near +1. So each rank of the sorted |phi| is read from
-Y up to pi/2 and from X beyond. W is real, so its non-real eigenvalues come
-in conjugate pairs, adjacent in that order; alternating signs give each pair
-one of each, and the unpaired +1 and -1 sit at the ends, where the sign does
-not matter.
+The oracle solves two symmetric eigenproblems instead of a general one:
+with P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A,
+so I - W = 2 R_B (P_B - P_A) and I + W = 2 R_B (P_A + P_B - I), whose
+singular values |sin(phi / 2)| and |cos(phi / 2)| give the eigenphases phi.
+The cycles, certified exactly invariant by integer sums, are split off
+first with phase 0, so per component each solve has order n_i + m_i - 1
+(the derivation is in brute_force_spectrum).
 """
 
 from __future__ import annotations
@@ -76,6 +68,7 @@ _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
 _RESIDUAL_BLOCK = 32  # recipes per residual block: N x 32 real columns stay in cache
 _ISOMETRY_TOL = 1e-12  # on each vertex's and each hyperedge's sum of squared weights
+_UPDATE_ROWS = 64  # rows or columns per block of the oracle's dense products
 
 
 def _check_tolerance(tol: float) -> float:
@@ -272,7 +265,7 @@ def cycle_basis(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     is_vertex = np.arange(n + hg.m) < n
     parent = np.where(is_vertex, n + hg.pair_e[up], hg.pair_v[up])
     closing = np.flatnonzero(~in_forest)
-    basis = np.zeros((size, closing.size), dtype=np.int8)
+    basis = np.zeros((size, closing.size), dtype=np.int8, order="F")
     columns = np.arange(closing.size)
     basis[closing, columns] = 1
     # Climb from both ends of each closing pair to their common ancestor.
@@ -370,18 +363,32 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     block is renumbered in (v, e) order so the weights stay aligned, built
     once every hyperedge's pairs carry one label.
 
-    Per block, eigvalsh of Y = P_B - P_A and of X = P_A + P_B - I, each
-    scattered from the pair lists, give |sin(phi / 2)| and |cos(phi / 2)|
-    over the block's eigenphases phi. The identities behind this,
-    I - W = 2 R_B Y and I + W = 2 R_B X, hold because R_B is an orthogonal
-    involution, and W is normal, so the singular values of I -/+ W are
-    |1 -/+ exp(i phi)|. Sorted, the two give the same ranks of |phi|. A rank
-    is read from Y where that reading is at most pi/2, where arcsin is well
-    conditioned, and from X beyond, where arccos is. One solve is not
-    enough: Y alone puts the phases near pi off by about sqrt(eps), and X
-    those near 0. W is real, so its non-real eigenvalues are conjugate
-    pairs, adjacent in rank. The signs alternate along the ranks, giving
-    each pair one of each; the unpaired +1 and -1 at the ends take either.
+    Per block, eigvalsh of Y = P_B - P_A and X = P_A + P_B - I give
+    |sin(phi / 2)| and |cos(phi / 2)| over the eigenphases phi, because
+    I - W = 2 R_B Y and I + W = 2 R_B X with R_B orthogonal, and W is normal.
+    Sorted, both rank |phi| alike. A rank is read from Y up to pi/2, where
+    arcsin is well conditioned, and from X beyond, where arccos is: Y alone
+    puts the phases near pi off by about sqrt(eps), X those near 0. W is
+    real, so its non-real eigenvalues are conjugate pairs, adjacent in rank;
+    the signs alternate along the ranks, giving each pair one of each.
+
+    The cycle space comes off first. If the weights are constant on each
+    vertex's and each hyperedge's pairs (else r = 0), the block's N_i x r
+    cycle basis C (see cycle_basis) is certified exactly: its closing rows
+    must be the identity, so its rank is r, and every int64 sum of a column
+    over a vertex's or a hyperedge's pairs must be 0, so A^T C = B^T C = 0,
+    Y C = 0 and X C = -C. A failed check raises HyperwalkError. Householder
+    QR of C gives Q = I - V T V^T (compact WY: V unit lower trapezoidal,
+    T^-1 = striu(V^T V) + diag(1 / tau)) with Q[:, :r] spanning C, so
+    Q^T Y Q = diag(0, Y') and Q^T X Q = diag(-I, X'): r phases are exactly 0,
+    the rest those of Y' and X', of order k = N_i - r = n_i + m_i - 1. With
+    subscript 2 for rows r on and W_a = T^T V^T A, Q^T A has trailing rows
+    A_2 - V_2 W_a, so (P_A)' = A_2 A_2^T - (Z_a V_2^T + V_2 Z_a^T) with
+    Z_a = A_2 W_a^T - V_2 W_a W_a^T / 2, likewise for B, and
+    Y' = (P_B - P_A)_22 - (Z V_2^T + V_2 Z^T) with Z = Z_b - Z_a. Then
+    X' = Y' + 2 (P_A)' - I: I needs no correction, as Q is orthogonal
+    (T + T^T = T^T V^T V T). All of it is built in blocks of rows in one
+    k x k buffer; no N x N array is made.
 
     The identities need A and B to be isometries, so each vertex's and each
     hyperedge's squared weights must sum to 1 within 1e-12. Otherwise
@@ -409,28 +416,70 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
 
 
 def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
-    """Write one connected block's eigenvalues to out, from eigvalsh of Y and then of X.
-
-    See brute_force_spectrum. X is built over Y's buffer, and every array
-    made here is dropped on return, before the next block is built.
-    """
-    vertex_starts, edge_order, edge_starts = block.hypergraph.segments
-    sums = (
-        np.add.reduceat(block.vertex_weights**2, vertex_starts),
-        np.add.reduceat(block.edge_weights[edge_order] ** 2, edge_starts),
-    )
-    if not all((np.abs(s - 1.0) <= _ISOMETRY_TOL).all() for s in sums):
+    """Write one connected block's eigenvalues to out (see brute_force_spectrum); X' is built
+    over Y''s buffer, and every array made here is dropped before the next block is built."""
+    hg, (vertex_starts, edge_order, edge_starts) = block.hypergraph, block.hypergraph.segments
+    a, b = block.vertex_weights, block.edge_weights
+    sides = ((a, slice(None), vertex_starts, hg.pair_v), (b, edge_order, edge_starts, hg.pair_e))
+    if not all((np.abs(np.add.reduceat(w[o] ** 2, s) - 1.0) <= _ISOMETRY_TOL).all() for w, o, s, _ in sides):
         raise HyperwalkError("walk weights do not make A and B isometries")
-    matrix = np.zeros((block.size, block.size))
-    block.add_projectors(matrix, -1.0, 1.0)  # Y
+    if all(np.array_equal(w, w[order][starts][group]) for w, order, starts, group in sides):
+        cycles, closing = cycle_basis(hg)
+    else:  # zero sums no longer prove A^T C = B^T C = 0, so nothing is split off
+        cycles, closing = np.zeros((block.size, 0), dtype=np.int8), np.zeros(0, dtype=np.intp)
+    if not np.array_equal(cycles[closing], np.eye(closing.size)) or any(
+        np.add.reduceat(cycles[order], starts, dtype=np.int64).any() for _, order, starts, _ in sides
+    ):
+        raise HyperwalkError("cycle basis is not an exactly invariant subspace of the walk")
+    r, k = closing.size, block.size - closing.size
+    vt, tau = np.linalg.qr(cycles, mode="raw")  # r x N: R^T on and left of the diagonal, V^T right of it
+    del cycles
+    vt[:, :r] = np.triu(vt[:, :r], 1) + np.eye(r)
+    inv_t = np.triu(np.vstack([vt[lo : lo + _UPDATE_ROWS] @ vt.T for lo in range(0, max(r, 1), _UPDATE_ROWS)]), 1)
+    np.fill_diagonal(inv_t, 1.0 / tau)  # T^-1 = striu(V^T V) + diag(1 / tau)
+    # W_a = T^T V^T A and W_b = T^T V^T B; the weights are constant on each segment, or r = 0.
+    w_t = [_solve_upper_t(inv_t, np.add.reduceat(vt[:, o], s, axis=1) * w[o][s]) for w, o, s, _ in sides]
+    del inv_t
+    matrix, z_t = np.zeros((k, k)), []  # made after the temporaries: Z_a^T and Z_b^T reuse their heap below it
+    for w, order, starts, group in sides:
+        x = w_t.pop(0)
+        z_t.append(x[:, group[r:]])
+        z_t[-1] *= w[r:]  # (A_2 W_a^T)^T, then (B_2 W_b^T)^T; minus W_a W_a^T V_2^T / 2 by blocks of columns:
+        for lo in range(r, block.size, _UPDATE_ROWS):
+            z_t[-1][:, lo - r : lo - r + _UPDATE_ROWS] -= x @ (x.T @ (0.5 * vt[:, lo : lo + _UPDATE_ROWS]))
+        del x
+    z_a, z = z_t.pop(0), z_t.pop(0)
+    z -= z_a
+    block.add_projectors(matrix, -1.0, 1.0, start=r)
+    _subtract_rank_2r(matrix, z, vt[:, r:])  # Y'
+    del z
     low = 2.0 * np.arcsin(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix))), 1.0))
-    block.add_projectors(matrix, 2.0, 0.0)  # X = Y + 2 P_A - I
-    matrix[np.diag_indices(block.size)] -= 1.0
+    block.add_projectors(matrix, 2.0, 0.0, start=r)
+    _subtract_rank_2r(matrix, 2.0 * z_a, vt[:, r:])
+    matrix[np.diag_indices(k)] -= 1.0  # X' = Y' + 2 (P_A)' - I
     # Descending |cos(phi / 2)| is ascending |phi|, so both lists rank |phi| alike.
     high = 2.0 * np.arccos(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1], 1.0))
-    phases = np.where(low <= np.pi / 2, low, high)
+    phases = np.zeros(block.size)
+    phases[r:] = np.where(low <= np.pi / 2, low, high)
     phases[1::2] *= -1.0
     out[:] = np.exp(1j * phases)
+
+
+def _solve_upper_t(s: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """s^-T m for an upper triangular s, by halves: with s = [[a, b], [0, d]], the top rows are
+    a^-T m_1 and the rest d^-T (m_2 - b^T top), so s is never inverted as a whole."""
+    if len(s) <= _UPDATE_ROWS:
+        return np.linalg.solve(s.T, m)
+    h = len(s) // 2
+    top = _solve_upper_t(s[:h, :h], m[:h])
+    return np.vstack([top, _solve_upper_t(s[h:, h:], m[h:] - s[:h, h:].T @ top)])
+
+
+def _subtract_rank_2r(matrix: np.ndarray, z_t: np.ndarray, v_t: np.ndarray) -> None:
+    """matrix -= z v^T + v z^T on and below the diagonal, the only part eigvalsh reads."""
+    for lo in range(0, len(matrix), _UPDATE_ROWS):
+        hi = lo + _UPDATE_ROWS
+        matrix[lo:hi, :hi] -= z_t[:, lo:hi].T @ v_t[:, :hi] + v_t[:, lo:hi].T @ z_t[:, :hi]
 
 
 def _circle_sort(values: np.ndarray) -> np.ndarray:

@@ -386,9 +386,9 @@ def test_blocked_oracle_matches_dense_eigvals(build):
     blocked = hw.brute_force_spectrum(walk)
     assert blocked.shape == (walk.size,)
     assert hw.pairing_distance(blocked, np.linalg.eigvals(walk.dense)) <= 1e-12
-    # The cycle space's r = N - n - m + c eigenvalues are ones.
+    # The certified cycle space gives r = N - n - m + c eigenvalues of exactly one.
     r = walk.size - hg.n - hg.m + union_find_components(hg)
-    assert np.count_nonzero(np.abs(blocked - 1.0) <= 1e-13) >= r
+    assert np.count_nonzero(blocked == 1.0) >= r
     assert hw.analyze(hg).verdict == "pass"
 
 
@@ -413,12 +413,45 @@ def test_blocked_oracle_rejects_labels_that_split_a_hyperedge(monkeypatch):
         hw.brute_force_spectrum(walk)
 
 
-def test_oracle_accepts_weights_that_vary_within_a_vertex():
-    # The oracle needs A and B to be isometries, not constant weights on a vertex's pairs.
+def flip_one_sign(basis, closing):
+    row = np.flatnonzero(basis[:, 0])[0]
+    basis[row, 0] = -basis[row, 0]
+
+
+def duplicate_a_column(basis, closing):
+    basis[:, 1] = basis[:, 0]
+
+
+@pytest.mark.parametrize("tamper", [flip_one_sign, duplicate_a_column])
+def test_oracle_rejects_a_tampered_cycle_basis(monkeypatch, tamper):
+    # The oracle splits off no cycle it has not checked: a flipped sign breaks
+    # a zero sum and a duplicated column the identity on the closing pairs.
+    _, walk = pipeline(hw.random_regular_uniform(12, 8, 3, 2, seed=3))
+    basis, closing = cycle_basis(walk.hypergraph)
+    assert basis.shape[1] >= 2 and np.flatnonzero(basis[:, 0])[0] != closing[0]
+
+    def tampered(hg):
+        basis, closing = cycle_basis(hg)
+        tamper(basis, closing)
+        return basis, closing
+
+    monkeypatch.setattr(hw.spectral, "cycle_basis", tampered)
+    with pytest.raises(hw.HyperwalkError, match="not an exactly invariant subspace"):
+        hw.brute_force_spectrum(walk)
+
+
+def test_oracle_accepts_weights_that_vary_within_a_vertex(monkeypatch):
+    # The oracle needs A and B to be isometries, not constant weights on a
+    # vertex's pairs; without them zero sums prove nothing, so no cycle is split off.
     _, walk = pipeline(six_by_four())
     a = walk.vertex_weights.copy()
     a[:2] = [0.6, 0.8]  # vertex 0 keeps a unit column of A
     varied = hw.WalkOperator(walk.hypergraph, a, walk.edge_weights)
+
+    def unused(hg):
+        raise AssertionError("cycle_basis called for weights that vary within a vertex")
+
+    monkeypatch.setattr(hw.spectral, "cycle_basis", unused)
     assert hw.pairing_distance(hw.brute_force_spectrum(varied), np.linalg.eigvals(varied.dense)) <= 1e-12
 
 
@@ -441,8 +474,10 @@ def test_oracle_and_prediction_memory_budget():
     hg = hw.random_regular_uniform(600, 400, 3, 2, seed=1)
     ts, walk = pipeline(hg)
     _, crowded = pipeline(hw.from_edge_lists(1200, [range(1200)]))
+    # r = 501 of N = 1200, where the Householder factors of the cycle basis are largest.
+    _, cyclic = pipeline(hw.random_regular_uniform(400, 300, 4, 3, seed=1))
     svd = hw.full_svd(hw.discriminant(ts))
-    for instance in (hg, crowded.hypergraph):
+    for instance in (hg, crowded.hypergraph, cyclic.hypergraph):
         instance.segments  # cached on first use, so no peak below includes it
     matrix_bytes = walk.size**2 * 8
 
@@ -456,9 +491,10 @@ def test_oracle_and_prediction_memory_budget():
 
     assert traced_peak(lambda: walk.dense) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: crowded.dense) <= 1.5 * matrix_bytes
-    # The oracle builds X over Y's buffer, so it holds no second N x N array.
+    # The oracle builds X' over Y''s buffer, so it holds no second matrix of their order.
     assert traced_peak(lambda: hw.brute_force_spectrum(walk)) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: hw.brute_force_spectrum(crowded)) <= 1.5 * matrix_bytes
+    assert traced_peak(lambda: hw.brute_force_spectrum(cyclic)) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 2 * matrix_bytes
     # The complex eigenvector matrix is 2 * matrix_bytes and is filled block by block.
     prediction = hw.predict_spectrum(svd, walk)
