@@ -54,7 +54,6 @@ from .spectral import (
     classify_singular_values,
     discriminant,
     full_svd,
-    pairing_distance,
     predict_spectrum,
     verify,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "from_edge_lists",
     "full_svd",
     "is_connected",
-    "pairing_distance",
     "parse",
     "predict_spectrum",
     "random_feasible_parameters",

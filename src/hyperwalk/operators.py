@@ -14,8 +14,7 @@ has one column per hyperedge e, with amplitudes b = sqrt(p_ev). Each has one
 nonzero per row, so a WalkOperator holds only the two weight vectors over
 the pair list. A walk step is the reflection 2AA^T - I followed by
 2BB^T - I, which walk_action applies as segment sums in O(N). The dense walk
-matrix, and sums of the dense projectors AA^T and BB^T for the eigenvalue
-oracle, are scattered from the pair lists.
+matrix is scattered from the pair lists.
 
 Amplitudes are complex throughout, even though the walk matrix is real
 orthogonal, because its eigenvectors are genuinely complex.
@@ -113,28 +112,7 @@ class WalkOperator:
         out[pairs, pairs] += 1.0
         return out
 
-    def add_projectors(self, out: np.ndarray, vertex_scale: float, edge_scale: float, start: int = 0) -> None:
-        """Add vertex_scale AA^T + edge_scale BB^T, on the pairs from start on, to out, in place.
-
-        (AA^T)[p, q] = a_p a_q where p and q share a vertex, and
-        (BB^T)[p, q] = b_p b_q where they share a hyperedge; a zero scale
-        skips its term. Pair p is row and column p - start of out.
-        Scattered a block of rows at a time, as dense is.
-        """
-        hg = self.hypergraph
-        vertex_starts, edge_order, edge_starts = hg.segments
-        terms = [
-            (vertex_scale, self.vertex_weights, np.arange(self.size), vertex_starts, hg.pair_v),
-            (edge_scale, self.edge_weights, edge_order, edge_starts, hg.pair_e),
-        ]
-        for rows in self._row_blocks(start):
-            for scale, w, order, starts, group in terms:
-                if scale:
-                    at, q = _sharing(rows, order, starts, group)
-                    p, q = rows[at][q >= start], q[q >= start]
-                    out[p - start, q - start] += scale * w[p] * w[q]
-
-    def _row_blocks(self, start: int = 0):
+    def _row_blocks(self):
         """The pair numbers in blocks of rows that each scatter at most
         max(N^2 / 32, 2^15) entries, however the pairs are grouped: a row
         meets at most (largest degree) x (largest hyperedge) pairs. With
@@ -144,7 +122,7 @@ class WalkOperator:
         per_row = int(np.diff(vertex_starts, append=self.size).max() * np.diff(edge_starts, append=self.size).max())
         step = max(1, max(self.size**2 // _SCATTER_BLOCKS, _SCATTER_ENTRIES) // per_row)
         pairs = np.arange(self.size)
-        return (pairs[lo : lo + step] for lo in range(start, self.size, step))
+        return (pairs[lo : lo + step] for lo in range(0, self.size, step))
 
 
 @dataclass(frozen=True, eq=False)

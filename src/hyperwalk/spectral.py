@@ -43,8 +43,9 @@ The oracle solves two symmetric eigenproblems instead of a general one:
 with P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A,
 so I - W = 2 R_B (P_B - P_A) and I + W = 2 R_B (P_A + P_B - I), whose
 singular values |sin(phi / 2)| and |cos(phi / 2)| give the eigenphases phi.
-The cycles, certified exactly invariant by integer sums, are split off
-first with phase 0, so per component each solve has order n_i + m_i - 1
+One orthogonal basis change per component compresses both matrices onto
+the range of A and B together, so each solve has order
+q_i = min(N_i, n_i + m_i) and the other N_i - q_i phases are exactly 0
 (the derivation is in brute_force_spectrum).
 """
 
@@ -68,7 +69,6 @@ _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
 _RESIDUAL_BLOCK = 32  # recipes per residual block: N x 32 real columns stay in cache
 _ISOMETRY_TOL = 1e-12  # on each vertex's and each hyperedge's sum of squared weights
-_UPDATE_ROWS = 64  # rows or columns per block of the oracle's dense products
 
 
 def _check_tolerance(tol: float) -> float:
@@ -372,23 +372,23 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     real, so its non-real eigenvalues are conjugate pairs, adjacent in rank;
     the signs alternate along the ranks, giving each pair one of each.
 
-    The cycle space comes off first. If the weights are constant on each
-    vertex's and each hyperedge's pairs (else r = 0), the block's N_i x r
-    cycle basis C (see cycle_basis) is certified exactly: its closing rows
-    must be the identity, so its rank is r, and every int64 sum of a column
-    over a vertex's or a hyperedge's pairs must be 0, so A^T C = B^T C = 0,
-    Y C = 0 and X C = -C. A failed check raises HyperwalkError. Householder
-    QR of C gives Q = I - V T V^T (compact WY: V unit lower trapezoidal,
-    T^-1 = striu(V^T V) + diag(1 / tau)) with Q[:, :r] spanning C, so
-    Q^T Y Q = diag(0, Y') and Q^T X Q = diag(-I, X'): r phases are exactly 0,
-    the rest those of Y' and X', of order k = N_i - r = n_i + m_i - 1. With
-    subscript 2 for rows r on and W_a = T^T V^T A, Q^T A has trailing rows
-    A_2 - V_2 W_a, so (P_A)' = A_2 A_2^T - (Z_a V_2^T + V_2 Z_a^T) with
-    Z_a = A_2 W_a^T - V_2 W_a W_a^T / 2, likewise for B, and
-    Y' = (P_B - P_A)_22 - (Z V_2^T + V_2 Z^T) with Z = Z_b - Z_a. Then
-    X' = Y' + 2 (P_A)' - I: I needs no correction, as Q is orthogonal
-    (T + T^T = T^T V^T V T). All of it is built in blocks of rows in one
-    k x k buffer; no N x N array is made.
+    An orthogonal basis change compresses Y and X onto the range of [A B].
+    Let L be the isometry of the larger side (A when n_i >= m_i, else B),
+    with l columns, and S the other, with s. One Householder reflector per
+    segment of L maps that segment's unit column to the unit vector at its
+    first pair, up to sign, so H L is those l unit vectors, and the rows of
+    H S at the first pairs are D = L^T S, up to their signs. The other
+    N_i - l rows of H S have a Householder QR with an upper triangular R of
+    k = min(N_i - l, s) rows. In the basis Q made of the QR's reflectors, H
+    and the first pairs, Q^T P_L Q = diag(0, I_l) and Q^T P_S Q = M M^T
+    with M = [R; D], padded with zeros to order N_i; the signs of D's rows
+    are a diagonal similarity that changes no eigenvalue. So, of order
+    q_i = k + l, Y' = M M^T - diag(0, I_l) (up to sign) and
+    X' = M M^T - diag(I_k, 0) hold every phase but N_i - q_i, where both
+    projectors vanish, Y = 0 and X = -I: those phases are exactly 0. Q
+    holds the range of [A B] whatever its rank, so nothing is assumed of
+    the rank, of the cycle space or of how the weights vary within a
+    segment. X' is built over Y''s buffer; no N x N array is made.
 
     The identities need A and B to be isometries, so each vertex's and each
     hyperedge's squared weights must sum to 1 within 1e-12. Otherwise
@@ -419,67 +419,49 @@ def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
     """Write one connected block's eigenvalues to out (see brute_force_spectrum); X' is built
     over Y''s buffer, and every array made here is dropped before the next block is built."""
     hg, (vertex_starts, edge_order, edge_starts) = block.hypergraph, block.hypergraph.segments
-    a, b = block.vertex_weights, block.edge_weights
-    sides = ((a, slice(None), vertex_starts, hg.pair_v), (b, edge_order, edge_starts, hg.pair_e))
-    if not all((np.abs(np.add.reduceat(w[o] ** 2, s) - 1.0) <= _ISOMETRY_TOL).all() for w, o, s, _ in sides):
+    sides = [
+        (block.vertex_weights, np.arange(block.size), vertex_starts, hg.pair_v),
+        (block.edge_weights, edge_order, edge_starts, hg.pair_e),
+    ]
+    sums = [np.add.reduceat(w[o] ** 2, s) for w, o, s, _ in sides]
+    if not all((np.abs(x - 1.0) <= _ISOMETRY_TOL).all() for x in sums):
         raise HyperwalkError("walk weights do not make A and B isometries")
-    if all(np.array_equal(w, w[order][starts][group]) for w, order, starts, group in sides):
-        cycles, closing = cycle_basis(hg)
-    else:  # zero sums no longer prove A^T C = B^T C = 0, so nothing is split off
-        cycles, closing = np.zeros((block.size, 0), dtype=np.int8), np.zeros(0, dtype=np.intp)
-    if not np.array_equal(cycles[closing], np.eye(closing.size)) or any(
-        np.add.reduceat(cycles[order], starts, dtype=np.int64).any() for _, order, starts, _ in sides
-    ):
-        raise HyperwalkError("cycle basis is not an exactly invariant subspace of the walk")
-    r, k = closing.size, block.size - closing.size
-    vt, tau = np.linalg.qr(cycles, mode="raw")  # r x N: R^T on and left of the diagonal, V^T right of it
-    del cycles
-    vt[:, :r] = np.triu(vt[:, :r], 1) + np.eye(r)
-    inv_t = np.triu(np.vstack([vt[lo : lo + _UPDATE_ROWS] @ vt.T for lo in range(0, max(r, 1), _UPDATE_ROWS)]), 1)
-    np.fill_diagonal(inv_t, 1.0 / tau)  # T^-1 = striu(V^T V) + diag(1 / tau)
-    # W_a = T^T V^T A and W_b = T^T V^T B; the weights are constant on each segment, or r = 0.
-    w_t = [_solve_upper_t(inv_t, np.add.reduceat(vt[:, o], s, axis=1) * w[o][s]) for w, o, s, _ in sides]
-    del inv_t
-    matrix, z_t = np.zeros((k, k)), []  # made after the temporaries: Z_a^T and Z_b^T reuse their heap below it
-    for w, order, starts, group in sides:
-        x = w_t.pop(0)
-        z_t.append(x[:, group[r:]])
-        z_t[-1] *= w[r:]  # (A_2 W_a^T)^T, then (B_2 W_b^T)^T; minus W_a W_a^T V_2^T / 2 by blocks of columns:
-        for lo in range(r, block.size, _UPDATE_ROWS):
-            z_t[-1][:, lo - r : lo - r + _UPDATE_ROWS] -= x @ (x.T @ (0.5 * vt[:, lo : lo + _UPDATE_ROWS]))
-        del x
-    z_a, z = z_t.pop(0), z_t.pop(0)
-    z -= z_a
-    block.add_projectors(matrix, -1.0, 1.0, start=r)
-    _subtract_rank_2r(matrix, z, vt[:, r:])  # Y'
-    del z
+    if hg.n < hg.m:  # L, the larger side's isometry, first
+        sides, sums = sides[::-1], sums[::-1]
+    (u, order, starts, group), (w, _, other_starts, other_group) = sides
+    size, l, s = block.size, starts.size, other_starts.size
+    k = min(size - l, s)  # R's rows
+    q = k + l
+    matrix = np.empty((q, q))  # made before the temporaries, so they do not sit below it in the heap
+    # H_j = I - beta_j v_j v_j^T maps segment j's unit column of L to alpha_j at its first pair.
+    first = order[starts]
+    v = u.copy()
+    v[first] += np.copysign(np.sqrt(sums[0]), u[first])  # alpha_j = -sign(u_first) |u_j|, nonzero at u_first = 0
+    beta = 2.0 / np.add.reduceat(v[order] ** 2, starts)
+    rest = np.setdiff1d(np.arange(size), first)
+    # Off the first pairs H S = S - V diag(beta) V^T S, one row of V^T S per segment of L.
+    tail = scatter((l, s), group, other_group, v * w)[group[rest]]
+    tail *= -(beta[group] * v)[rest, None]
+    tail[np.arange(rest.size), other_group[rest]] += w[rest]
+    tail = np.linalg.qr(tail, mode="r")  # R, made before M so the two copies of H S are gone
+    # M = [R; L^T S], S in the new basis. With L^T S on top, the tridiagonal reduction of a
+    # long path fills in entries that decay to subnormal numbers, and eigvalsh slows 3-6x.
+    image = np.zeros((q, s))
+    image[:k] = tail
+    del tail
+    image[k + group, other_group] = u * w
+    np.matmul(image, image.T, out=matrix)
+    del image
+    diagonal = np.diag_indices(q)
+    matrix[diagonal] -= np.repeat([0.0, 1.0], [k, l])  # Y' = M M^T - diag(0, I), up to sign
     low = 2.0 * np.arcsin(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix))), 1.0))
-    block.add_projectors(matrix, 2.0, 0.0, start=r)
-    _subtract_rank_2r(matrix, 2.0 * z_a, vt[:, r:])
-    matrix[np.diag_indices(k)] -= 1.0  # X' = Y' + 2 (P_A)' - I
+    matrix[diagonal] += np.repeat([-1.0, 1.0], [k, l])  # X' = M M^T - diag(I, 0)
     # Descending |cos(phi / 2)| is ascending |phi|, so both lists rank |phi| alike.
     high = 2.0 * np.arccos(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1], 1.0))
-    phases = np.zeros(block.size)
-    phases[r:] = np.where(low <= np.pi / 2, low, high)
+    phases = np.zeros(size)
+    phases[size - q :] = np.where(low <= np.pi / 2, low, high)
     phases[1::2] *= -1.0
     out[:] = np.exp(1j * phases)
-
-
-def _solve_upper_t(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """s^-T m for an upper triangular s, by halves: with s = [[a, b], [0, d]], the top rows are
-    a^-T m_1 and the rest d^-T (m_2 - b^T top), so s is never inverted as a whole."""
-    if len(s) <= _UPDATE_ROWS:
-        return np.linalg.solve(s.T, m)
-    h = len(s) // 2
-    top = _solve_upper_t(s[:h, :h], m[:h])
-    return np.vstack([top, _solve_upper_t(s[h:, h:], m[h:] - s[:h, h:].T @ top)])
-
-
-def _subtract_rank_2r(matrix: np.ndarray, z_t: np.ndarray, v_t: np.ndarray) -> None:
-    """matrix -= z v^T + v z^T on and below the diagonal, the only part eigvalsh reads."""
-    for lo in range(0, len(matrix), _UPDATE_ROWS):
-        hi = lo + _UPDATE_ROWS
-        matrix[lo:hi, :hi] -= z_t[:, lo:hi].T @ v_t[:, :hi] + v_t[:, lo:hi].T @ z_t[:, :hi]
 
 
 def _circle_sort(values: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import hyperwalk as hw
+from hyperwalk.spectral import pairing_distance
 from conftest import (
     edge_isometry,
     pipeline,
@@ -137,8 +138,8 @@ def test_triangle_pins():
         assert report.verdict == "pass"
         third = np.exp(2j * np.pi / 3)
         expected = np.array([1.0, 1.0, third, third, third.conjugate(), third.conjugate()])
-        assert hw.pairing_distance(report.actual, expected) <= 1e-10
-        assert hw.pairing_distance(report.predicted, expected) <= 1e-10
+        assert pairing_distance(report.actual, expected) <= 1e-10
+        assert pairing_distance(report.predicted, expected) <= 1e-10
 
 
 def test_invariant_subspace_relations():

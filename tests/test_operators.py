@@ -130,18 +130,6 @@ def test_dense_matrix_is_product_of_reflections():
         assert np.abs(walk.dense - reflect_e @ reflect_v).max() <= 1e-12
 
 
-@pytest.mark.parametrize("start", [0, 1, 7])
-def test_projectors_from_a_start_are_the_trailing_block(start):
-    # The oracle scatters only the pairs from r on; hub-and-rim scatters in several row blocks.
-    for hg in [six_by_four(), hw.random_regular_uniform(12, 8, 3, 2, seed=3), hub_and_rim(301)]:
-        _, walk = pipeline(hg)
-        a, b = vertex_isometry(walk), edge_isometry(walk)
-        out = np.zeros((walk.size - start, walk.size - start))
-        walk.add_projectors(out, 2.0, -0.5, start=start)
-        expected = (2.0 * (a @ a.T) - 0.5 * (b @ b.T))[start:, start:]
-        assert np.abs(out - expected).max() <= 1e-15
-
-
 def test_dense_cap_controls_materialization(monkeypatch):
     monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
     _, walk = pipeline(triangle())

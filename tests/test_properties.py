@@ -7,11 +7,12 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperwalk as hw
 from hyperwalk.cli import _series_lines, main
+from hyperwalk.spectral import pairing_distance
 from conftest import pipeline, union_find_components
 
 # Edge lines under an "n 4" header: valid edges, integer lists that may
@@ -66,7 +67,31 @@ def test_analyze_counts_one_unit_per_component_and_passes(hg, classify_tol):
 @given(hg=hypergraphs())
 def test_oracle_matches_dense_eigvals(hg):
     _, walk = pipeline(hg)
-    assert hw.pairing_distance(hw.brute_force_spectrum(walk), np.linalg.eigvals(walk.dense)) <= 1e-12
+    assert pairing_distance(hw.brute_force_spectrum(walk), np.linalg.eigvals(walk.dense)) <= 1e-12
+
+
+def isometric_walk(hg, seed):
+    """A walk whose A and B have random unit columns with mixed signs; on each side the
+    first pair of the first segment with more than one pair weighs exactly 0."""
+    rng = np.random.default_rng(seed)
+    size = hg.pair_v.size
+    vertex_starts, edge_order, edge_starts = hg.segments
+    weights = []
+    for order, starts, group in [(np.arange(size), vertex_starts, hg.pair_v), (edge_order, edge_starts, hg.pair_e)]:
+        w = rng.standard_normal(size)
+        w[order[starts[np.diff(starts, append=size) > 1][:1]]] = 0.0
+        weights.append(w / np.sqrt(np.bincount(group, weights=w**2))[group])
+    return hw.WalkOperator(hg, *weights)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(hg=hypergraphs(), seed=st.integers(0, 2**32 - 1))
+@example(hg=hw.from_edge_lists(6, [{0, 1, 2}, {3, 4, 5}, {0, 1, 3}, {2, 4, 5}]), seed=1)  # n > m, with cycles
+@example(hg=hw.from_edge_lists(3, [{0, 1}, {1, 2}, {0, 2}, {0, 1, 2}]), seed=2)  # n < m, with cycles
+@example(hg=hw.from_edge_lists(3, [{0}, {0, 1, 2}, {2}]), seed=3)  # singleton segments on both sides
+def test_oracle_matches_dense_eigvals_for_any_isometric_weights(hg, seed):
+    walk = isometric_walk(hg, seed)
+    assert pairing_distance(hw.brute_force_spectrum(walk), np.linalg.eigvals(walk.dense)) <= 1e-12
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
