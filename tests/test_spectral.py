@@ -421,17 +421,18 @@ def test_oracle_accepts_weights_that_vary_within_a_vertex(monkeypatch):
     # The oracle needs A and B to be isometries, not constant weights on a
     # vertex's pairs, and it builds no cycle basis for either: six_by_four has 3 cycles.
     _, walk = pipeline(six_by_four())
-    a = walk.vertex_weights.copy()
-    a[:2] = [0.6, 0.8]  # vertex 0 keeps a unit column of A
-    varied = hw.WalkOperator(walk.hypergraph, a, walk.edge_weights)
-    a[:2] = [np.cos(1e-9), np.sin(1e-9)]  # a reflector of the wrong sign cancels to 0 here
-    tilted = hw.WalkOperator(walk.hypergraph, a, walk.edge_weights)
+    walks = [walk]
+    # Vertex 0 keeps a unit column of A; at the tilt a reflector of the wrong sign cancels to 0.
+    for first in ([0.6, 0.8], [np.cos(1e-9), np.sin(1e-9)]):
+        a = walk.vertex_weights.copy()  # WalkOperator keeps the array it is given
+        a[:2] = first
+        walks.append(hw.WalkOperator(walk.hypergraph, a, walk.edge_weights))
 
     def unused(hg):
         raise AssertionError("cycle_basis called by the oracle")
 
     monkeypatch.setattr(hw.spectral, "cycle_basis", unused)
-    for weighted in (walk, varied, tilted):
+    for weighted in walks:
         assert pairing_distance(hw.brute_force_spectrum(weighted), np.linalg.eigvals(weighted.dense)) <= 1e-12
 
 
