@@ -44,9 +44,11 @@ with P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A,
 so I - W = 2 R_B (P_B - P_A) and I + W = 2 R_B (P_A + P_B - I), whose
 singular values |sin(phi / 2)| and |cos(phi / 2)| give the eigenphases phi.
 One orthogonal basis change per component compresses both matrices onto
-the range of A and B together, so each solve has order
-q_i = min(N_i, n_i + m_i) and the other N_i - q_i phases are exactly 0
-(the derivation is in brute_force_spectrum).
+the range of A and B together and splits off the larger side's
+|n_i - m_i| unpaired directions, so each solve has order
+q_i = min(N_i - l_i, s_i) + s_i, with l_i = max(n_i, m_i) and
+s_i = min(n_i, m_i); the unpaired phases are exactly pi and the other
+N_i - q_i - |n_i - m_i| exactly 0 (the derivation is in brute_force_spectrum).
 """
 
 from __future__ import annotations
@@ -374,21 +376,26 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
 
     An orthogonal basis change compresses Y and X onto the range of [A B].
     Let L be the isometry of the larger side (A when n_i >= m_i, else B),
-    with l columns, and S the other, with s. One Householder reflector per
-    segment of L maps that segment's unit column to the unit vector at its
-    first pair, up to sign, so H L is those l unit vectors, and the rows of
-    H S at the first pairs are D = L^T S, up to their signs. The other
-    N_i - l rows of H S have a Householder QR with an upper triangular R of
-    k = min(N_i - l, s) rows. In the basis Q made of the QR's reflectors, H
-    and the first pairs, Q^T P_L Q = diag(0, I_l) and Q^T P_S Q = M M^T
-    with M = [R; D], padded with zeros to order N_i; the signs of D's rows
-    are a diagonal similarity that changes no eigenvalue. So, of order
-    q_i = k + l, Y' = M M^T - diag(0, I_l) (up to sign) and
-    X' = M M^T - diag(I_k, 0) hold every phase but N_i - q_i, where both
-    projectors vanish, Y = 0 and X = -I: those phases are exactly 0. Q
-    holds the range of [A B] whatever its rank, so nothing is assumed of
-    the rank, of the cycle space or of how the weights vary within a
-    segment. X' is built over Y''s buffer; no N x N array is made.
+    with l columns, and S the other, with s <= l. One Householder reflector
+    per segment of L maps that segment's unit column to the unit vector at
+    its first pair, up to sign, so H L is those l unit vectors, and the rows
+    of H S at the first pairs are D = L^T S, up to their signs (a diagonal
+    similarity that changes no eigenvalue). The other N_i - l rows of H S
+    have a Householder QR with an upper triangular R of k = min(N_i - l, s)
+    rows, and D = Q_D [R1; 0] has one with an s x s R1 (Golub & Van Loan,
+    Matrix Computations, 5.2). Q_D acts only on the first pairs, where P_L
+    is the identity, so in the basis Q made of both QRs' reflectors, H and
+    the first pairs, Q^T P_L Q = diag(0, I_s, I_{l-s}) and
+    Q^T P_S Q = M M^T with M = [R; R1; 0], padded with zeros to order N_i.
+    So, of order q_i = k + s, Y' = M M^T - diag(0, I_s) (up to sign) and
+    X' = M M^T - diag(I_k, 0) hold every phase but N_i - q_i. On the
+    l - s = |n_i - m_i| rows that R1 zeroes, P_S = 0 and P_L = 1, so Y = -1
+    and X = 0: those phases are exactly pi, the larger side's unpaired
+    directions. On the other N_i - k - l, both projectors vanish, Y = 0 and
+    X = -I: those phases are exactly 0. Q holds the range of [A B] whatever
+    its rank, so nothing is assumed of the rank, of the cycle space or of
+    how the weights vary within a segment. X' is built over Y''s buffer; no
+    N x N array is made.
 
     The identities need A and B to be isometries, so each vertex's and each
     hyperedge's squared weights must sum to 1 within 1e-12. Otherwise
@@ -431,7 +438,7 @@ def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
     (u, order, starts, group), (w, _, other_starts, other_group) = sides
     size, l, s = block.size, starts.size, other_starts.size
     k = min(size - l, s)  # R's rows
-    q = k + l
+    q = k + s
     matrix = np.empty((q, q))  # made before the temporaries, so they do not sit below it in the heap
     # H_j = I - beta_j v_j v_j^T maps segment j's unit column of L to alpha_j at its first pair.
     first = order[starts]
@@ -444,22 +451,22 @@ def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
     tail *= -(beta[group] * v)[rest, None]
     tail[np.arange(rest.size), other_group[rest]] += w[rest]
     tail = np.linalg.qr(tail, mode="r")  # R, made before M so the two copies of H S are gone
-    # M = [R; L^T S], S in the new basis. With L^T S on top, the tridiagonal reduction of a
-    # long path fills in entries that decay to subnormal numbers, and eigvalsh slows 3-6x.
-    image = np.zeros((q, s))
-    image[:k] = tail
-    del tail
-    image[k + group, other_group] = u * w
+    r1 = np.linalg.qr(scatter((l, s), group, other_group, u * w), mode="r")  # L^T S, up to row signs
+    # M = [R; R1], S in the new basis. With L^T S itself above R, the tridiagonal reduction of
+    # a long path fills in entries that decay to subnormal numbers, and eigvalsh slows 3-6x.
+    image = np.vstack((tail, r1))
+    del tail, r1
     np.matmul(image, image.T, out=matrix)
     del image
     diagonal = np.diag_indices(q)
-    matrix[diagonal] -= np.repeat([0.0, 1.0], [k, l])  # Y' = M M^T - diag(0, I), up to sign
+    matrix[diagonal] -= np.repeat([0.0, 1.0], [k, s])  # Y' = M M^T - diag(0, I), up to sign
     low = 2.0 * np.arcsin(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix))), 1.0))
-    matrix[diagonal] += np.repeat([-1.0, 1.0], [k, l])  # X' = M M^T - diag(I, 0)
+    matrix[diagonal] += np.repeat([-1.0, 1.0], [k, s])  # X' = M M^T - diag(I, 0)
     # Descending |cos(phi / 2)| is ascending |phi|, so both lists rank |phi| alike.
     high = 2.0 * np.arccos(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1], 1.0))
-    phases = np.zeros(size)
-    phases[size - q :] = np.where(low <= np.pi / 2, low, high)
+    # The l - s rows of L^T S that R1 zeroes are pi; the N_i - k - l rows outside M are 0.
+    solved = np.where(low <= np.pi / 2, low, high)
+    phases = np.pad(solved, (size - k - l, l - s), constant_values=(0.0, np.pi))
     phases[1::2] *= -1.0
     out[:] = np.exp(1j * phases)
 

@@ -379,6 +379,15 @@ CONNECTED = [
 ]
 
 
+def component_sizes(hg) -> list[tuple[int, int, int]]:
+    """(N_i, n_i, m_i) of each component, from union_find_partition."""
+    sizes = []
+    for part in union_find_partition(hg):
+        pairs = np.isin(hg.pair_v, list(part))
+        sizes.append((np.count_nonzero(pairs), len(part), np.unique(hg.pair_e[pairs]).size))
+    return sizes
+
+
 @pytest.mark.parametrize("build", DISCONNECTED + CONNECTED)
 def test_blocked_oracle_matches_dense_eigvals(build):
     # Two symmetric solves per component must give the spectrum of the whole dense matrix.
@@ -387,13 +396,44 @@ def test_blocked_oracle_matches_dense_eigvals(build):
     blocked = hw.brute_force_spectrum(walk)
     assert blocked.shape == (walk.size,)
     assert pairing_distance(blocked, np.linalg.eigvals(walk.dense)) <= 1e-12
-    # Outside the compression, each component's N_i - n_i - m_i phases, if positive, are exactly 0.
-    exact = 0
-    for part in union_find_partition(hg):
-        pairs = np.isin(hg.pair_v, list(part))
-        exact += max(0, np.count_nonzero(pairs) - len(part) - np.unique(hg.pair_e[pairs]).size)
-    assert np.count_nonzero(blocked == 1.0) >= exact
+    # Outside the compression, each component's N_i - n_i - m_i phases, if positive, are exactly 0,
+    # and its |n_i - m_i| unpaired directions on the larger side are exactly pi.
+    sizes = component_sizes(hg)
+    assert np.count_nonzero(blocked == 1.0) >= sum(max(0, size - n - m) for size, n, m in sizes)
+    assert np.count_nonzero(blocked.real == -1.0) >= sum(abs(n - m) for _, n, m in sizes)
     assert hw.analyze(hg).verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(
+            param
+            for param in CONNECTED + DISCONNECTED
+            if param.id in {"tall-N300", "wide-N300", "spectrum-mid-union"}
+        ),
+        *(
+            pytest.param(lambda case=case: hw.from_edge_lists(*case.values[:2]), id=case.id)
+            for case in IRREGULAR
+            if case.id in {"singleton-edges", "one-vertex-two-edges"}
+        ),
+    ],
+)
+def test_oracle_solves_have_order_k_plus_the_smaller_side(build, monkeypatch):
+    # Each component's two solves have order min(N_i - l_i, s_i) + s_i, l_i and s_i its larger
+    # and smaller side: the l_i - s_i unpaired directions never reach eigvalsh.
+    hg = build()
+    _, walk = pipeline(hg)
+    orders, eigvalsh = [], np.linalg.eigvalsh
+
+    def recording(matrix):
+        orders.append(matrix.shape[0])
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    hw.brute_force_spectrum(walk)
+    expected = [min(size - max(n, m), min(n, m)) + min(n, m) for size, n, m in component_sizes(hg)]
+    assert sorted(orders) == sorted(2 * expected)
 
 
 def test_blocked_oracle_builds_no_dense_walk_matrix():
@@ -455,7 +495,7 @@ def test_oracle_and_prediction_memory_budget():
     hg = hw.random_regular_uniform(600, 400, 3, 2, seed=1)
     ts, walk = pipeline(hg)
     _, crowded = pipeline(hw.from_edge_lists(1200, [range(1200)]))
-    # A large cycle space: the oracle's order is n + m = 700 of N = 1200.
+    # A large cycle space: the oracle's order is min(N - n, m) + m = 600 of N = 1200.
     _, cyclic = pipeline(hw.random_regular_uniform(400, 300, 4, 3, seed=1))
     svd = hw.full_svd(hw.discriminant(ts))
     for instance in (hg, crowded.hypergraph, cyclic.hypergraph):
@@ -472,10 +512,13 @@ def test_oracle_and_prediction_memory_budget():
 
     assert traced_peak(lambda: walk.dense) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: crowded.dense) <= 1.5 * matrix_bytes
-    # The oracle's one matrix of order q = min(N, n + m) holds Y' and then X'; the compression's
-    # (N - l) x s and q x s temporaries, l and s the two sides, are dropped before the solves.
+    # The oracle's one matrix of order q = min(N - l, s) + s, l >= s the two sides, holds Y' and
+    # then X'; the compression's (N - l) x s, l x s and q x s temporaries are dropped before the
+    # solves. The single hyperedge has l = 1200 and s = 1, so q = 1 and only O(N) arrays remain.
     assert traced_peak(lambda: hw.brute_force_spectrum(walk)) <= 1.5 * matrix_bytes
-    assert traced_peak(lambda: hw.brute_force_spectrum(crowded)) <= 1.5 * matrix_bytes
+    crowded_peak = traced_peak(lambda: hw.brute_force_spectrum(crowded))
+    assert crowded_peak <= 1.5 * matrix_bytes
+    assert crowded_peak <= 0.1 * matrix_bytes
     assert traced_peak(lambda: hw.brute_force_spectrum(cyclic)) <= 1.5 * matrix_bytes
     assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 2 * matrix_bytes
     # The complex eigenvector matrix is 2 * matrix_bytes and is filled block by block.
