@@ -93,6 +93,20 @@ class Hypergraph:
         edge_starts = np.searchsorted(self.pair_e[edge_order], np.arange(self.m))
         return np.searchsorted(self.pair_v, np.arange(self.n)), edge_order, edge_starts
 
+    @cached_property
+    def segment_groups(self) -> tuple[tuple[list[np.ndarray], np.ndarray], ...]:
+        """For the vertices, then the hyperedges: one L x count array of pair indices per
+        segment length L, and each pair's place among the groups' concatenated sums."""
+        vertex_starts, edge_order, edge_starts = self.segments
+        sides, pairs = [], np.arange(self.pair_v.size)
+        for order, starts, ids in ((pairs, vertex_starts, self.pair_v), (edge_order, edge_starts, self.pair_e)):
+            lengths = np.diff(starts, append=ids.size)
+            by_length = np.argsort(lengths, kind="stable")
+            cuts = np.flatnonzero(np.diff(lengths[by_length])) + 1
+            groups = [order[starts[s] + np.arange(lengths[s[0]])[:, None]] for s in np.split(by_length, cuts)]
+            sides.append((groups, np.argsort(by_length)[ids]))
+        return tuple(sides)
+
     @property
     def incidence(self) -> np.ndarray:
         """Read-only dense n x m 0/1 matrix, built on each access."""

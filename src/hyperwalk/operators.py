@@ -13,8 +13,9 @@ over the pairs (v, e) with amplitudes a = sqrt(p_ve). The edge isometry B
 has one column per hyperedge e, with amplitudes b = sqrt(p_ev). Each has one
 nonzero per row, so a WalkOperator holds only the two weight vectors over
 the pair list. A walk step is the reflection 2AA^T - I followed by
-2BB^T - I, which walk_action applies as segment sums in O(N). The dense walk
-matrix is scattered from the pair lists.
+2BB^T - I, which walk_action applies as segment sums in O(N), summing all
+segments of one length together (see Hypergraph.segment_groups). The
+dense walk matrix is scattered from the pair lists.
 
 Amplitudes are complex throughout, even though the walk matrix is real
 orthogonal, because its eigenvectors are genuinely complex.
@@ -159,20 +160,19 @@ def walk_action(walk: WalkOperator, states: np.ndarray) -> np.ndarray:
 
     Each reflection 2P - I only mixes the pairs of one vertex (or of one
     hyperedge): P sums the weighted amplitudes over that segment and spreads
-    the sum back with the same weights. A step costs O(N) per column.
+    the sum back with the same weights. The segments of each length are
+    summed together, one gather and one sum over the first axis per distinct
+    length (see Hypergraph.segment_groups). A step costs O(N) per column.
     """
-    hg = walk.hypergraph
-    vertex_starts, edge_order, edge_starts = hg.segments
-    a, b = walk.vertex_weights, walk.edge_weights
-    if np.ndim(states) == 2:
-        a, b = a[:, None], b[:, None]
-    y = np.add.reduceat(a * states, vertex_starts, axis=0)[hg.pair_v]
-    y *= 2.0 * a
-    y -= states
-    z = np.add.reduceat((b * y)[edge_order], edge_starts, axis=0)[hg.pair_e]
-    z *= 2.0 * b
-    z -= y
-    return z
+    for weights, (groups, spread) in zip((walk.vertex_weights, walk.edge_weights), walk.hypergraph.segment_groups):
+        if np.ndim(states) == 2:
+            weights = weights[:, None]
+        weighted = weights * states
+        reflected = np.concatenate([weighted[g].sum(axis=0) for g in groups])[spread]
+        reflected *= 2.0 * weights
+        reflected -= states
+        states = reflected
+    return states
 
 
 def apply_walk(walk: WalkOperator, psi: StateVector) -> StateVector:

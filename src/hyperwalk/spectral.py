@@ -36,8 +36,8 @@ against a tolerance.
 Multiplicities total N. Verification pairs the predicted multiset against
 eigenvalues computed independently of the SVD and of walk_action, one block
 per connected component scattered from its pairs, and checks every
-predicted eigenvector's walk_action residual, in real arithmetic on blocks
-of per-eigenvalue recipes that are built and dropped in turn.
+predicted eigenvector's walk_action residual, walking each real column A mu,
+B nu and cycle once, in blocks built and dropped in turn (see residuals).
 
 The oracle solves two symmetric eigenproblems instead of a general one:
 with P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A,
@@ -69,8 +69,14 @@ VERIFY_TOL_DEFAULT = 1e-8
 TOL_CEILING = 1e-3
 _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
-_RESIDUAL_BLOCK = 32  # recipes per residual block: N x 32 real columns stay in cache
+_RESIDUAL_BLOCK = 32  # singular indices and cycles per residual block, walked as N x 96 real columns
 _ISOMETRY_TOL = 1e-12  # on each vertex's and each hyperedge's sum of squared weights
+# How json.dumps(indent=2) lays out one entry of each long list of a report.
+_ENTRY_TEMPLATES = {
+    "singular_values": "\n    %r",
+    "predicted": '\n    {\n      "re": %r,\n      "im": %r,\n      "multiplicity": %r\n    }',
+    "actual": '\n    {\n      "re": %r,\n      "im": %r\n    }',
+}
 
 
 def _check_tolerance(tol: float) -> float:
@@ -95,16 +101,17 @@ class SvdResult:
 
 @dataclass(frozen=True, eq=False)
 class SpectrumPrediction:
-    """Predicted eigenvalue multiset of the walk operator, and how to build its eigenvectors.
+    """Predicted eigenvalue multiset of the walk operator, and its eigenvectors' residuals.
 
-    One recipe per eigenvalue, (kind, idx, phase, scale): "A mu" is column
-    idx of A U, "B nu" column idx of B V, "interior" is
-    (A mu - phase B nu) / scale at idx, and "cycle" is column idx of the
-    cycle basis, normalised. A and B have one nonzero per row, so A mu and
-    B nu are row gathers of SVD columns. No column is stored: residuals
-    streams blocks of eigenvectors through the walk on first access.
-    A block is real @ coef over the distinct real columns it uses, each walked
-    once: as W is linear, (W real) @ coef - real @ (coef lambda) is W x - lambda x.
+    The eigenvalues run over the singular indices j, then the larger side's
+    unpaired directions, then the cycles. With a_j = A mu_j and b_j = B nu_j,
+    row gathers of SVD columns (A and B have one nonzero per row), a unit j
+    gives +1 on a_j, a null j gives -1 on a_j and -1 on b_j, and an interior
+    j gives exp(+2i theta_j) and then exp(-2i theta_j) on
+    (a_j - exp(+/-i theta_j) b_j) / (sqrt(2) sin theta_j). An unpaired
+    direction gives -1 on its a_j or b_j, and a cycle +1 on its normalised
+    column of cycle_basis. No eigenvector is stored: residuals walks the SVD
+    and cycle columns on first access.
     """
 
     eigenvalues: np.ndarray
@@ -112,44 +119,66 @@ class SpectrumPrediction:
     notes: tuple[str, ...]
     svd: SvdResult
     walk: WalkOperator
-    recipes: tuple[tuple[str, int, complex, float], ...]
 
     @cached_property
     def residuals(self) -> np.ndarray:
-        """The walk_action residual ||W x - lambda x|| of every eigenvector x."""
-        cycles, _ = cycle_basis(self.walk.hypergraph)
-        # Each block's parts are dropped once their norms are taken, before the next is built.
-        blocks = [slice(j, j + _RESIDUAL_BLOCK) for j in range(0, len(self.recipes), _RESIDUAL_BLOCK)]
-        return np.concatenate([
-            np.linalg.norm(self._evaluate(self.recipes[b], cycles, self.eigenvalues[b]), axis=(0, 1))
-            for b in blocks
-        ])
+        """The walk_action residual ||W x - lambda x|| of every eigenvector x, in eigenvalue order.
+
+        Each block walks the a_j, b_j and cycle columns c of a range of indices
+        once, side by side. A unit, null or unpaired a_j gives ||W a - lambda a||,
+        a null or unpaired b_j gives ||W b + b||, and a cycle
+        ||W c - c|| / sqrt(nnz(c)). An interior j gives
+        ||W a - e^{i theta} W b - e^{2i theta} a + e^{3i theta} b|| / (sqrt(2) sin theta)
+        from its real and imaginary parts, for both of its eigenvalues: W is
+        real, so the conjugate eigenvector's residual has the same norm.
+        """
+        hg, walk, svd = self.walk.hypergraph, self.walk, self.svd
+        r, wider = svd.singular_values.size, max(hg.n, hg.m)
+        tags = np.array(self.classification + ("unpaired",) * (wider - r))
+        inner, theta = tags == "interior", np.arccos(np.clip(svd.singular_values, 0.0, 1.0))
+        values = np.stack([np.where(tags == "unit", 1.0, -1.0), np.full(wider, -1.0)])  # lambda of a_j, b_j
+        plain, mixed = np.zeros((2, wider)), np.zeros(r)  # mixed: the interior residuals' numerators
+        cycles, _ = cycle_basis(hg)
+        loops = np.zeros(cycles.shape[1])
+
+        def walk_block(lo: int) -> None:
+            """Walk [a | b | c] from index lo once, write their residuals and drop every array made."""
+            block = slice(lo, lo + _RESIDUAL_BLOCK)
+            u, v, c = svd.left_vectors[:, block], svd.right_vectors[:, block], cycles[:, block]
+            cuts = [u.shape[1], u.shape[1] + v.shape[1]]
+            x = np.empty((walk.size, cuts[1] + c.shape[1]))
+            a, b, loop = np.hsplit(x, cuts)
+            np.multiply(walk.vertex_weights[:, None], u[hg.pair_v], out=a)
+            np.multiply(walk.edge_weights[:, None], v[hg.pair_e], out=b)
+            loop[:] = c
+            wa, wb, wc = np.hsplit(walk_action(walk, x), cuts)
+            loops[block] = np.linalg.norm(wc - loop, axis=0) / np.sqrt(np.count_nonzero(c, axis=0))
+            for side, y, wy in ((0, a, wa), (1, b, wb)):
+                at = np.flatnonzero(~inner[block][: y.shape[1]])
+                plain[side, lo + at] = np.linalg.norm(wy[:, at] - values[side, lo + at] * y[:, at], axis=0)
+            p = max(min(r - lo, _RESIDUAL_BLOCK), 0)  # paired columns, first in a and b
+            turn = np.outer([1.0, 2.0, 3.0], theta[lo : lo + p])
+            cos, sin = np.cos(turn), np.sin(turn)
+            re = wa[:, :p] - cos[0] * wb[:, :p] - cos[1] * a[:, :p] + cos[2] * b[:, :p]
+            im = sin[0] * wb[:, :p] + sin[1] * a[:, :p] - sin[2] * b[:, :p]
+            mixed[lo : lo + p] = np.hypot(np.linalg.norm(re, axis=0), np.linalg.norm(im, axis=0))
+
+        for lo in range(0, max(wider, loops.size), _RESIDUAL_BLOCK):
+            walk_block(lo)
+        first, second = plain[:, :r]
+        inner = inner[:r]
+        first[inner] = second[inner] = mixed[inner] / (np.sqrt(2.0) * np.sin(theta[inner]))
+        return _in_order(self.classification, first, second, plain[int(hg.m > hg.n), r:], loops)
 
     @property
     def max_residual(self) -> float:
         return float(self.residuals.max(initial=0.0))
 
-    def _evaluate(self, recipes, cycles: np.ndarray, values=None) -> np.ndarray:
-        """The real and imaginary parts, stacked, of the recipes' eigenvectors
-        x or, given their eigenvalues, of W x - lambda x; cycles is cycle_basis(hypergraph)[0]."""
-        hg, walk = self.walk.hypergraph, self.walk
-        start = {"A mu": 0, "interior": 0, "B nu": hg.n, "cycle": hg.n + hg.m}  # real column numbers
-        keys = [(start[k] + i, hg.n + i if k == "interior" else start[k] + i) for k, i, *_ in recipes]
-        used, at = np.unique(keys, return_inverse=True)
-        a_idx, b_idx, c_idx = np.split(used, np.searchsorted(used, [hg.n, hg.n + hg.m]))
-        loops = cycles[:, c_idx - hg.n - hg.m]
-        real = np.hstack([
-            walk.vertex_weights[:, None] * self.svd.left_vectors[:, a_idx][hg.pair_v],
-            walk.edge_weights[:, None] * self.svd.right_vectors[:, b_idx - hg.n][hg.pair_e],
-            loops / np.sqrt(np.count_nonzero(loops, axis=0)),
-        ])
-        coef = np.zeros((used.size, len(recipes)), dtype=np.complex128)
-        cols = np.arange(len(recipes))[:, None]
-        np.add.at(coef, (at.reshape(-1, 2), cols), [(1 / s, -p / s) for *_, p, s in recipes])
-        if values is not None:
-            real = np.hstack([walk_action(walk, real), real])
-            coef = np.vstack([coef, -coef * values])
-        return real @ np.stack([coef.real, coef.imag])
+
+def _in_order(tags: tuple[str, ...], first, second, *rest) -> np.ndarray:
+    """Per singular index its first entry and, unless the index is unit, its second; then rest."""
+    keep = np.column_stack([np.ones(len(tags), dtype=bool), np.array(tags) != "unit"])
+    return np.concatenate([np.column_stack([first, second])[keep], *rest])
 
 
 @dataclass(frozen=True)
@@ -203,8 +232,17 @@ class SpectralReport:
             "verdict": self.verdict,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        """The text of json.dumps(self.to_json_dict(), indent=2), with the long lists
+        laid out by one %r template per entry: json writes a float as its repr."""
+        doc = self.to_json_dict()
+        lists = {key: doc[key] for key in _ENTRY_TEMPLATES if doc[key]}
+        text = json.dumps(doc | {key: f"@{key}@" for key in lists}, indent=2)
+        for key, entries in lists.items():
+            flat = [x for entry in entries for x in (entry.values() if isinstance(entry, dict) else [entry])]
+            layout = ",".join([_ENTRY_TEMPLATES[key]] * len(entries)) % tuple(flat)
+            text = text.replace(f'"@{key}@"', f"[{layout}\n  ]")
+        return text
 
 
 def discriminant(ts: TransitionSystem) -> np.ndarray:
@@ -294,12 +332,11 @@ def predict_spectrum(
 ) -> SpectrumPrediction:
     """Assemble the predicted eigensystem of the walk from the discriminant's SVD.
 
-    Each eigenvalue is recorded with the recipe of its unit eigenvector (see
-    SpectrumPrediction); the c largest singular values, c the number of
-    components, are the unit ones, and the +1 complement is spanned by the
-    N - n - m + c normalised fundamental cycles (see cycle_basis). Nothing
-    of size N x N is formed here, and the cycles are found only when an
-    eigenvector is built.
+    The eigenvalues are listed in the order of SpectrumPrediction; the c
+    largest singular values, c the number of components, are the unit ones,
+    and the +1 complement is spanned by the N - n - m + c normalised
+    fundamental cycles (see cycle_basis). Nothing of size N x N is formed
+    here, and the cycles are found only when the residuals are read.
     """
     tol = _check_tolerance(tol)
     hg = walk.hypergraph
@@ -307,52 +344,24 @@ def predict_spectrum(
     sigma = svd.singular_values
     components = component_count(hg)
     tags = classify_singular_values(sigma, components, tol)
-
-    values: list[complex] = []
-    recipes: list[tuple[str, int, complex, float]] = []
+    theta = np.arccos(np.clip(sigma, 0.0, 1.0))
+    null = np.array(tags) == "null"
+    first = np.where(np.array(tags) == "unit", 1.0, np.where(null, -1.0, np.exp(2j * theta)))
+    second = np.where(null, -1.0, np.exp(-2j * theta))
     notes: list[str] = []
-
-    def emit(value, kind, idx, phase=0j, scale=1.0):
-        values.append(value)
-        recipes.append((kind, idx, phase, scale))
-
-    for idx, (s, tag) in enumerate(zip(sigma, tags)):
-        if tag == "unit":
-            emit(1.0 + 0.0j, "A mu", idx)
-        elif tag == "null":
-            emit(-1.0 + 0.0j, "A mu", idx)
-            emit(-1.0 + 0.0j, "B nu", idx)
-        else:
-            theta = np.arccos(np.clip(s, 0.0, 1.0))
-            scale = np.sqrt(2.0) * np.sin(theta)
-            for sign in (+1.0, -1.0):
-                emit(np.exp(sign * 2j * theta), "interior", idx, np.exp(sign * 1j * theta), scale)
-    if "null" in tags:
-        notes.append(
-            "null singular values present: each assigned two -1 eigenvalues "
-            "(outside the generic all-interior case)"
-        )
-
-    # Unpaired singular directions on the larger side all map to -1.
-    if n > m:
-        for idx in range(m, n):
-            emit(-1.0 + 0.0j, "A mu", idx)
-        notes.append(f"{n - m} unpaired vertex-side directions assigned eigenvalue -1")
-    elif m > n:
-        for idx in range(n, m):
-            emit(-1.0 + 0.0j, "B nu", idx)
-        notes.append(f"{m - n} unpaired edge-side directions assigned eigenvalue -1")
-
-    # Everything orthogonal to both isometry ranges is fixed by the walk.
-    for j in range(size - n - m + components):
-        emit(1.0 + 0.0j, "cycle", j)
+    if null.any():
+        notes.append("null singular values present: each assigned two -1 eigenvalues "
+                     "(outside the generic all-interior case)")
+    # Unpaired singular directions on the larger side all map to -1, and
+    # everything orthogonal to both isometry ranges is fixed by the walk.
+    if n != m:
+        notes.append(f"{abs(n - m)} unpaired {'vertex' if n > m else 'edge'}-side directions assigned eigenvalue -1")
     return SpectrumPrediction(
-        eigenvalues=np.asarray(values, dtype=np.complex128),
+        eigenvalues=_in_order(tags, first, second, np.full(abs(n - m), -1.0), np.ones(size - n - m + components)),
         classification=tags,
         notes=tuple(notes),
         svd=svd,
         walk=walk,
-        recipes=tuple(recipes),
     )
 
 

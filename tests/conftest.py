@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from hyperwalk.spectral import _RESIDUAL_BLOCK, cycle_basis
+from hyperwalk.spectral import cycle_basis
 
 FIG1_PARAMS = dict(n=6, m=4, k=3, d=2)
 
@@ -43,6 +43,20 @@ def hub_and_rim(n: int) -> hw.Hypergraph:
     """One hyperedge over all n vertices plus the n-cycle (N = 3n): a row meets
     up to 3n pairs, so the dense scatters run in several row blocks."""
     return hw.from_edge_lists(n, [range(n)] + [{i, (i + 1) % n} for i in range(n)])
+
+
+def star() -> hw.Hypergraph:
+    """Vertex 0 in 600 two-vertex edges, plus one edge over the 600 other vertices (N = 1800)."""
+    return hw.from_edge_lists(601, [{0, i} for i in range(1, 601)] + [range(1, 601)])
+
+
+def mixed_lengths(seed: int = 53) -> hw.Hypergraph:
+    """80 vertices drawn with weights 1 / (v + 1) into 60 edges of 1 to 24 vertices,
+    plus a singleton edge per vertex: many distinct edge sizes and degrees."""
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, 81)
+    edges = [rng.choice(80, size, replace=False, p=weights / weights.sum()) for size in rng.integers(1, 25, 60)]
+    return hw.from_edge_lists(80, edges + [[v] for v in range(80)])
 
 
 def random_instances(count: int, seed: int, max_n: int = 40, max_pairs: int = 256):
@@ -120,11 +134,39 @@ def edge_isometry(walk) -> np.ndarray:
 
 
 def eigenvectors(prediction) -> np.ndarray:
-    """The N x N matrix of the prediction's unit eigenvectors, one column per
-    recipe, filled a residual block at a time so no second N x N array is held."""
-    cycles, _ = cycle_basis(prediction.walk.hypergraph)
-    out = np.empty((prediction.walk.size, len(prediction.recipes)), dtype=np.complex128)
-    for j in range(0, out.shape[1], _RESIDUAL_BLOCK):
-        b = slice(j, j + _RESIDUAL_BLOCK)
-        out.real[:, b], out.imag[:, b] = prediction._evaluate(prediction.recipes[b], cycles)
+    """The N x N matrix of the prediction's unit eigenvectors, in the order of its
+    eigenvalues, written one column at a time from the classification, the SVD and
+    cycle_basis alone: per singular index, A mu for a unit one, A mu and B nu for a
+    null one, (A mu - exp(+/-i theta) B nu) / (sqrt(2) sin theta) for an interior
+    one; then the larger side's unpaired A mu or B nu; then the normalised cycles.
+    Row p of A holds sqrt(p_ve) in column v_p, so a column of A U is a row gather."""
+    walk, svd, hg = prediction.walk, prediction.svd, prediction.walk.hypergraph
+
+    def a_mu(j):
+        return walk.vertex_weights * svd.left_vectors[hg.pair_v, j]
+
+    def b_nu(j):
+        return walk.edge_weights * svd.right_vectors[hg.pair_e, j]
+
+    def columns():
+        for j, (s, tag) in enumerate(zip(svd.singular_values, prediction.classification)):
+            if tag == "unit":
+                yield a_mu(j)
+            elif tag == "null":
+                yield a_mu(j)
+                yield b_nu(j)
+            else:
+                theta = np.arccos(min(s, 1.0))
+                for phase in (np.exp(1j * theta), np.exp(-1j * theta)):
+                    yield (a_mu(j) - phase * b_nu(j)) / (np.sqrt(2.0) * np.sin(theta))
+        r = svd.singular_values.size
+        yield from (a_mu(j) for j in range(r, hg.n))
+        yield from (b_nu(j) for j in range(r, hg.m))
+        for cycle in cycle_basis(hg)[0].T:
+            yield cycle / np.linalg.norm(cycle)
+
+    out = np.empty((walk.size, walk.size), dtype=np.complex128)
+    for k, column in enumerate(columns()):
+        out[:, k] = column
+    assert k == walk.size - 1
     return out

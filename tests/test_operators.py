@@ -9,11 +9,13 @@ from conftest import (
     battery,
     edge_isometry,
     hub_and_rim,
+    mixed_lengths,
     pipeline,
     random_instances,
     random_state,
     single_edge,
     six_by_four,
+    star,
     triangle,
     vertex_isometry,
 )
@@ -166,6 +168,30 @@ def test_factored_application_matches_dense():
         factored = hw.apply_walk(walk, psi).amplitudes
         dense = walk.dense @ psi.amplitudes
         assert np.abs(factored - dense).max() <= 1e-12
+
+
+MIXED = [
+    pytest.param(lambda: hw.from_edge_lists(1200, [range(1200)]), id="one-1200-pair-edge"),
+    pytest.param(star, id="star"),
+    pytest.param(mixed_lengths, id="mixed-lengths"),
+] + [pytest.param(lambda case=case: hw.from_edge_lists(*case.values[:2]), id=case.id) for case in IRREGULAR]
+
+
+@pytest.mark.parametrize("build", MIXED)
+def test_walk_action_matches_dense_on_mixed_segment_lengths(build):
+    # Segments of each length are summed as one group, so shapes with one
+    # long segment, two very different lengths or many lengths each take
+    # their own path through the grouping.
+    hg = build()
+    _, walk = pipeline(hg)
+    if build is mixed_lengths:
+        for sizes in (hw.degree_profile(hg).vertex_degrees, hw.degree_profile(hg).edge_degrees):
+            assert np.unique(sizes).size >= 10
+    dense = walk.dense
+    rng = np.random.default_rng(walk.size)
+    for shape, is_complex in [((walk.size,), True), ((walk.size, 3), False), ((walk.size, 3), True)]:
+        x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if is_complex else 0.0)
+        assert np.abs(hw.walk_action(walk, x) - dense @ x).max() <= 1e-12
 
 
 def test_double_application_matches_dense_square():

@@ -294,7 +294,10 @@ def test_cycle_basis_spans_the_complement():
             assert not np.bincount(hg.pair_e, weights=column, minlength=hg.m).any()
         assert np.linalg.matrix_rank(basis) == basis.shape[1]
         pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
-        assert sum(kind == "cycle" for kind, *_ in pred.recipes) == basis.shape[1]
+        # One +1 per cycle, last; the other exact +1s are the unit indices.
+        np.testing.assert_array_equal(pred.eigenvalues[walk.size - basis.shape[1]:], 1.0)
+        assert np.count_nonzero(pred.eigenvalues == 1.0) == basis.shape[1] + pred.classification.count("unit")
+        assert pred.residuals.size == walk.size
         assert np.abs(np.linalg.norm(eigenvectors(pred), axis=0) - 1.0).max() <= 1e-12
 
 
@@ -318,10 +321,11 @@ STREAMED = [
 
 @pytest.mark.parametrize("build, classify_tol", STREAMED)
 def test_streamed_residuals_match_dense_columns(build, classify_tol):
-    # Residuals come from blocks of recipes built and dropped one at a time;
-    # they must equal the column norms of W V - V diag(lambda) for the
-    # eigenvector matrix V that the prediction builds on access. N = 128 and
-    # N = 256 are exact multiples of the block width; the other sizes are not.
+    # Residuals come from blocks of singular indices and cycles, walked and
+    # dropped one at a time; they must equal the column norms of
+    # W V - V diag(lambda) for the eigenvector matrix V that the test helper
+    # builds on its own, one column at a time. N = 128 and N = 256 are exact
+    # multiples of the block width; the other sizes are not.
     hg = build()
     ts, walk = pipeline(hg)
     pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk, tol=classify_tol)
@@ -490,8 +494,9 @@ def test_oracle_and_prediction_memory_budget():
     # At N = 1200 the dense walk matrix is N^2 * 8 bytes. It is scattered
     # into the result, the only N x N array, from index arrays that stay
     # small even when one hyperedge holds every pair and W has no zero; the
-    # residual pass over the prediction keeps no N x N matrix at all, and the
-    # eigenvector matrix is the only N x N array built on its access.
+    # residual pass over the prediction holds one block of columns at a time,
+    # under half an N x N matrix, and the test helper's eigenvector matrix is
+    # the only N x N array it builds.
     hg = hw.random_regular_uniform(600, 400, 3, 2, seed=1)
     ts, walk = pipeline(hg)
     _, crowded = pipeline(hw.from_edge_lists(1200, [range(1200)]))
@@ -520,8 +525,8 @@ def test_oracle_and_prediction_memory_budget():
     assert crowded_peak <= 1.5 * matrix_bytes
     assert crowded_peak <= 0.1 * matrix_bytes
     assert traced_peak(lambda: hw.brute_force_spectrum(cyclic)) <= 1.5 * matrix_bytes
-    assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 2 * matrix_bytes
-    # The complex eigenvector matrix is 2 * matrix_bytes and is filled block by block.
+    assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 0.5 * matrix_bytes
+    # The complex eigenvector matrix is 2 * matrix_bytes and is filled column by column.
     prediction = hw.predict_spectrum(svd, walk)
     assert traced_peak(lambda: eigenvectors(prediction)) <= 2.5 * matrix_bytes
 
@@ -568,7 +573,8 @@ def test_analyze_above_cap_builds_no_cycle_basis(monkeypatch):
     monkeypatch.setattr(hw.spectral, "cycle_basis", forbidden)
     ts, walk = pipeline(cycle(5))
     pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
-    assert pred.recipes[-1][0] == "cycle"
+    # The 5-cycle's one cycle eigenvalue is listed, last, without the basis being built.
+    assert pred.eigenvalues.size == walk.size and pred.eigenvalues[-1] == 1.0
     monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
     report = hw.analyze(cycle(5))
     assert report.verdict == "unverified"
@@ -602,6 +608,25 @@ def test_analyze_null_singular_value_instance():
     plus = int(np.sum(np.abs(report.predicted - 1.0) < 1e-9))
     assert (plus, minus) == (2, 2) and report.size == 4
     assert any("null" in note for note in report.deviations)
+
+
+@pytest.mark.parametrize("cap", [None, "4"])
+@pytest.mark.parametrize(
+    "build",
+    [pytest.param(lambda case=case: hw.from_edge_lists(*case.values[:2]), id=case.id) for case in IRREGULAR]
+    + [
+        pytest.param(lambda: hw.from_edge_lists(2, [{0, 1}, {0, 1}]), id="null-sigma"),
+        pytest.param(lambda: hw.random_regular_uniform(300, 200, 3, 2, seed=52), id="N600"),
+    ],
+)
+def test_report_json_is_byte_identical_to_json_dumps(monkeypatch, cap, build):
+    # to_json lays the long lists out from row templates; under the cap of 4
+    # most reports are "unverified", with actual null.
+    if cap is not None:
+        monkeypatch.setenv(hw.DENSE_CAP_ENV, cap)
+    report = hw.analyze(build())
+    assert (report.actual is None) == (report.size > int(cap or hw.dense_cap()))
+    assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
 
 
 def test_report_json_schema():
