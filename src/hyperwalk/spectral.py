@@ -166,8 +166,8 @@ class SpectrumPrediction:
         for lo in range(0, max(wider, loops.size), _RESIDUAL_BLOCK):
             walk_block(lo)
         first, second = plain[:, :r]
-        inner = inner[:r]
-        first[inner] = second[inner] = mixed[inner] / (np.sqrt(2.0) * np.sin(theta[inner]))
+        paired = inner[:r]
+        first[paired] = second[paired] = mixed[paired] / (np.sqrt(2.0) * np.sin(theta[paired]))
         return _in_order(self.classification, first, second, plain[int(hg.m > hg.n), r:], loops)
 
     @property
