@@ -6,8 +6,10 @@ those pairs gives a two-reflection walk operator whose eigensystem is
 fully determined by the singular value decomposition of the discriminant
 matrix sqrt(p_ve * p_ev). This package builds every piece and verifies the
 predicted eigensystem against the walk's eigenvalues, found without the SVD
-from two symmetric eigenvalue problems per connected component:
-I - W = 2 R_B (P_B - P_A) and I + W = 2 R_B (P_A + P_B - I).
+from symmetric eigenvalue problems per connected component:
+I - W = 2 R_B (P_B - P_A) gives every phase phi as 2 arcsin|sin(phi / 2)|,
+and only a component with a phase near pi (some cos(phi / 2) < 0.03) also
+solves I + W = 2 R_B (P_A + P_B - I) to read those phases by arccos.
 """
 
 from .classical import (
@@ -45,10 +47,7 @@ from .operators import (
 from .spectral import (
     CLASSIFY_TOL_DEFAULT,
     SpectralReport,
-    SpectrumPrediction,
-    SvdResult,
     VERIFY_TOL_DEFAULT,
-    Verdict,
     analyze,
     brute_force_spectrum,
     classify_singular_values,
@@ -68,12 +67,9 @@ __all__ = [
     "Hypergraph",
     "HyperwalkError",
     "SpectralReport",
-    "SpectrumPrediction",
     "StateVector",
-    "SvdResult",
     "TransitionSystem",
     "VERIFY_TOL_DEFAULT",
-    "Verdict",
     "WalkOperator",
     "analyze",
     "apply_walk",

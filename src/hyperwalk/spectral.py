@@ -39,11 +39,15 @@ per connected component scattered from its pairs, and checks every
 predicted eigenvector's walk_action residual, walking each real column A mu,
 B nu and cycle once, in blocks built and dropped in turn (see residuals).
 
-The oracle solves two symmetric eigenproblems instead of a general one:
-with P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A,
-so I - W = 2 R_B (P_B - P_A) and I + W = 2 R_B (P_A + P_B - I), whose
+The oracle solves symmetric eigenproblems instead of a general one: with
+P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A, so
+I - W = 2 R_B (P_B - P_A) and I + W = 2 R_B (P_A + P_B - I), whose
 singular values |sin(phi / 2)| and |cos(phi / 2)| give the eigenphases phi.
-One orthogonal basis change per component compresses both matrices onto
+It reads every phase as 2 arcsin|sin(phi / 2)|, whose error is at most
+2 delta / cos(phi / 2) for an absolute error delta in the sine, and solves
+the second matrix only for a component with some cos(phi / 2) < 0.03, such
+as a null sigma's phase pi: one solve per component, two when a phase nears
+pi. One orthogonal basis change per component compresses both matrices onto
 the range of A and B together and splits off the larger side's
 |n_i - m_i| unpaired directions, so each solve has order
 q_i = min(N_i - l_i, s_i) + s_i, with l_i = max(n_i, m_i) and
@@ -71,6 +75,9 @@ _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
 _RESIDUAL_BLOCK = 32  # singular indices and cycles per residual block, walked as N x 96 real columns
 _ISOMETRY_TOL = 1e-12  # on each vertex's and each hyperedge's sum of squared weights
+# The oracle reads a component's phases from Y' alone while every cos(phi / 2) is at least
+# this, so 2 arcsin|y| errs by at most 2 delta / 0.03, delta being eigvalsh's absolute error.
+_ARCSIN_MIN_COS = 0.03
 # How json.dumps(indent=2) lays out one entry of each long list of a report.
 _ENTRY_TEMPLATES = {
     "singular_values": "\n    %r",
@@ -366,7 +373,7 @@ def predict_spectrum(
 
 
 def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
-    """Independent oracle: the walk's eigenvalues from two symmetric solves per component.
+    """Independent oracle: the walk's eigenvalues from one symmetric solve per component, or two.
 
     W only mixes pairs that share a vertex or a hyperedge, so with its pairs
     grouped by connected component it is exactly a permutation of
@@ -377,11 +384,18 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     Per block, eigvalsh of Y = P_B - P_A and X = P_A + P_B - I give
     |sin(phi / 2)| and |cos(phi / 2)| over the eigenphases phi, because
     I - W = 2 R_B Y and I + W = 2 R_B X with R_B orthogonal, and W is normal.
-    Sorted, both rank |phi| alike. A rank is read from Y up to pi/2, where
-    arcsin is well conditioned, and from X beyond, where arccos is: Y alone
-    puts the phases near pi off by about sqrt(eps), X those near 0. W is
-    real, so its non-real eigenvalues are conjugate pairs, adjacent in rank;
-    the signs alternate along the ranks, giving each pair one of each.
+    Sorted, both rank |phi| alike. Every rank is read from Y as
+    phi = 2 arcsin|y|. By Weyl's bound eigvalsh gives each y within an
+    absolute delta of a few eps ||Y||, with ||Y|| <= 1 (Golub & Van Loan,
+    8.1), and d phi / dy = 2 / cos(phi / 2), so phi errs by at most
+    2 delta / cos(phi / 2): Y alone is accurate while every cos(phi / 2) of
+    the block is at least 0.03, and puts a phase at pi off by about
+    sqrt(eps). A block with some cos(phi / 2) < 0.03, that is a largest
+    |y| above sqrt(1 - 0.03^2), which a null sigma always gives, solves X as
+    well and reads its ranks beyond pi/2 as 2 arccos|x|, where arccos is
+    well conditioned. W is real, so its non-real eigenvalues are conjugate
+    pairs, adjacent in rank; the signs alternate along the ranks, giving
+    each pair one of each.
 
     An orthogonal basis change compresses Y and X onto the range of [A B].
     Let L be the isometry of the larger side (A when n_i >= m_i, else B),
@@ -403,8 +417,8 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     directions. On the other N_i - k - l, both projectors vanish, Y = 0 and
     X = -I: those phases are exactly 0. Q holds the range of [A B] whatever
     its rank, so nothing is assumed of the rank, of the cycle space or of
-    how the weights vary within a segment. X' is built over Y''s buffer; no
-    N x N array is made.
+    how the weights vary within a segment. X', when it is needed, is built
+    over Y''s buffer; no N x N array is made.
 
     The identities need A and B to be isometries, so each vertex's and each
     hyperedge's squared weights must sum to 1 within 1e-12. Otherwise
@@ -432,8 +446,8 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
 
 
 def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
-    """Write one connected block's eigenvalues to out (see brute_force_spectrum); X' is built
-    over Y''s buffer, and every array made here is dropped before the next block is built."""
+    """Write one connected block's eigenvalues to out (see brute_force_spectrum); X', if needed,
+    is built over Y''s buffer, and every array made here is dropped before the next block is built."""
     hg, (vertex_starts, edge_order, edge_starts) = block.hypergraph, block.hypergraph.segments
     sides = [
         (block.vertex_weights, np.arange(block.size), vertex_starts, hg.pair_v),
@@ -469,12 +483,14 @@ def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
     del image
     diagonal = np.diag_indices(q)
     matrix[diagonal] -= np.repeat([0.0, 1.0], [k, s])  # Y' = M M^T - diag(0, I), up to sign
-    low = 2.0 * np.arcsin(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix))), 1.0))
-    matrix[diagonal] += np.repeat([-1.0, 1.0], [k, s])  # X' = M M^T - diag(I, 0)
-    # Descending |cos(phi / 2)| is ascending |phi|, so both lists rank |phi| alike.
-    high = 2.0 * np.arccos(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1], 1.0))
+    sines = np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix))), 1.0)
+    solved = 2.0 * np.arcsin(sines)
+    if sines[-1] > np.sqrt(1.0 - _ARCSIN_MIN_COS**2):  # some cos(phi / 2) < _ARCSIN_MIN_COS
+        matrix[diagonal] += np.repeat([-1.0, 1.0], [k, s])  # X' = M M^T - diag(I, 0)
+        # Descending |cos(phi / 2)| is ascending |phi|, so both lists rank |phi| alike.
+        high = 2.0 * np.arccos(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1], 1.0))
+        solved = np.where(solved <= np.pi / 2, solved, high)
     # The l - s rows of L^T S that R1 zeroes are pi; the N_i - k - l rows outside M are 0.
-    solved = np.where(low <= np.pi / 2, low, high)
     phases = np.pad(solved, (size - k - l, l - s), constant_values=(0.0, np.pi))
     phases[1::2] *= -1.0
     out[:] = np.exp(1j * phases)
@@ -493,7 +509,9 @@ def _circle_sort(values: np.ndarray) -> np.ndarray:
 
 
 def group_eigenvalues(values: np.ndarray, tol: float = _GROUP_TOL):
-    """Cluster circle-sorted values whose neighbours are within tol."""
+    """Group the circle-sorted values: each joins the current group while it lies within
+    tol of that group's first value, and starts a new group otherwise. The first value
+    stands for the group, so a run of values each within tol of the next can still split."""
     groups: list[list] = []
     for z in _circle_sort(values):
         if groups and abs(z - groups[-1][0]) <= tol:

@@ -359,6 +359,11 @@ DISCONNECTED = [
 ]
 
 
+def path(edges: int) -> hw.Hypergraph:
+    """The path of `edges` two-vertex edges."""
+    return hw.from_edge_lists(edges + 1, [{i, i + 1} for i in range(edges)])
+
+
 def barbell(clique: int, path: int) -> hw.Hypergraph:
     """Two complete 3-uniform hypergraphs on `clique` vertices, joined by a path of `path` edges."""
     ends = [(i, j, k) for i in range(clique) for j in range(i + 1, clique) for k in range(j + 1, clique)]
@@ -374,12 +379,22 @@ CONNECTED = [
     pytest.param(lambda: hw.random_regular_uniform(150, 100, 3, 2, seed=1), id="tall-N300"),
     pytest.param(lambda: hw.random_regular_uniform(100, 75, 4, 3, seed=1), id="cycles-N300"),
     pytest.param(lambda: hw.random_regular_uniform(75, 100, 3, 4, seed=1), id="wide-N300"),
-    pytest.param(lambda: hw.from_edge_lists(151, [{i, i + 1} for i in range(150)]), id="path150"),
+    pytest.param(lambda: path(150), id="path150"),
     pytest.param(lambda: cycle(200), id="cycle200"),
     pytest.param(lambda: barbell(7, 150), id="barbell-N510"),
     # Eigenvalues exactly at +/- i: the pi/2 seam between the oracle's two solves.
     pytest.param(lambda: cycle(8), id="cycle8"),
     pytest.param(lambda: hub_and_rim(301), id="hub-and-rim-N903"),
+    # sigma_min = sin(pi / 104) = 0.0302, just above the cos(phi / 2) below which the oracle
+    # reads a component's phases from two solves, so its phases near pi come from arcsin alone.
+    pytest.param(lambda: path(52), id="path52"),
+]
+
+# A phase near pi, with cos(phi / 2) = sigma below 0.03, sends a component to the oracle's second
+# solve: sigma = 0 on the null-sigma pair (and on cycle200), sigma_min = sin(pi / 600) on path300.
+NEAR_PI = [
+    pytest.param(lambda: hw.from_edge_lists(2, [{0, 1}, {0, 1}]), id="null-sigma"),
+    pytest.param(lambda: path(300), id="path300"),
 ]
 
 
@@ -392,9 +407,10 @@ def component_sizes(hg) -> list[tuple[int, int, int]]:
     return sizes
 
 
-@pytest.mark.parametrize("build", DISCONNECTED + CONNECTED)
+@pytest.mark.parametrize("build", DISCONNECTED + CONNECTED + NEAR_PI)
 def test_blocked_oracle_matches_dense_eigvals(build):
-    # Two symmetric solves per component must give the spectrum of the whole dense matrix.
+    # One symmetric solve per component, or two where a phase nears pi, must give the spectrum
+    # of the whole dense matrix.
     hg = build()
     _, walk = pipeline(hg)
     blocked = hw.brute_force_spectrum(walk)
@@ -409,23 +425,29 @@ def test_blocked_oracle_matches_dense_eigvals(build):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, solves",
     [
         *(
-            param
+            pytest.param(*param.values, 1, id=param.id)
             for param in CONNECTED + DISCONNECTED
             if param.id in {"tall-N300", "wide-N300", "spectrum-mid-union"}
         ),
         *(
-            pytest.param(lambda case=case: hw.from_edge_lists(*case.values[:2]), id=case.id)
+            pytest.param(lambda case=case: hw.from_edge_lists(*case.values[:2]), 1, id=case.id)
             for case in IRREGULAR
             if case.id in {"singleton-edges", "one-vertex-two-edges"}
         ),
+        *(
+            pytest.param(*param.values, 2, id=param.id)
+            for param in CONNECTED + NEAR_PI
+            if param.id in {"cycle200", "null-sigma", "path300"}
+        ),
     ],
 )
-def test_oracle_solves_have_order_k_plus_the_smaller_side(build, monkeypatch):
-    # Each component's two solves have order min(N_i - l_i, s_i) + s_i, l_i and s_i its larger
-    # and smaller side: the l_i - s_i unpaired directions never reach eigvalsh.
+def test_oracle_solves_have_order_k_plus_the_smaller_side(build, solves, monkeypatch):
+    # Each component's solves have order min(N_i - l_i, s_i) + s_i, l_i and s_i its larger and
+    # smaller side: the l_i - s_i unpaired directions never reach eigvalsh. A component takes a
+    # second solve only when a phase nears pi, as on cycle200, null-sigma and path300.
     hg = build()
     _, walk = pipeline(hg)
     orders, eigvalsh = [], np.linalg.eigvalsh
@@ -437,7 +459,41 @@ def test_oracle_solves_have_order_k_plus_the_smaller_side(build, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     hw.brute_force_spectrum(walk)
     expected = [min(size - max(n, m), min(n, m)) + min(n, m) for size, n, m in component_sizes(hg)]
-    assert sorted(orders) == sorted(2 * expected)
+    assert sorted(orders) == sorted(solves * expected)
+
+
+def clique_with_tail(clique: int, tail: int) -> hw.Hypergraph:
+    """A complete 3-uniform hypergraph on `clique` vertices with a path of `tail` edges off its last vertex."""
+    ends = [{i, j, k} for i in range(clique) for j in range(i + 1, clique) for k in range(j + 1, clique)]
+    return hw.from_edge_lists(clique + tail, ends + [{clique - 1 + i, clique + i} for i in range(tail)])
+
+
+def test_oracle_puts_the_tail_qr_above_the_first_pairs_qr(monkeypatch):
+    # M stacks R, from the QR of H S off the first pairs, above R1, from the QR of L^T S. No
+    # eigenvalue shows the order, but it sets how eigvalsh's tridiagonal reduction meets a long
+    # path (with L^T S itself above R it ran 3-6x slower on path-like shapes), so the top-left
+    # k x k block of the matrix eigvalsh receives must be R R^T.
+    hg = clique_with_tail(7, 200)  # N = 505 with l = m = 235, s = n = 207 and k = 207
+    _, walk = pipeline(hg)
+    (size, n, m), = component_sizes(hg)
+    k = min(size - max(n, m), min(n, m))
+    factors, matrices = {}, []
+    qr, eigvalsh = np.linalg.qr, np.linalg.eigvalsh
+
+    def recording_qr(a, mode):
+        factors[a.shape[0]] = qr(a, mode=mode)  # keyed by rows: N - l off the first pairs, l on them
+        return factors[a.shape[0]]
+
+    def recording_eigvalsh(matrix):
+        matrices.append(matrix.copy())  # the oracle may reuse the buffer for a second solve
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    hw.brute_force_spectrum(walk)
+    r = factors[size - max(n, m)]
+    assert r.shape == (k, min(n, m))
+    assert np.abs(matrices[0][:k, :k] - r @ r.T).max() <= 1e-12
 
 
 def test_blocked_oracle_builds_no_dense_walk_matrix():
