@@ -16,7 +16,7 @@ walk = hw.build_walk(hw.build_transitions(single))
 
 print("pair basis:", list(zip(single.pair_v.tolist(), single.pair_e.tolist())))
 print("walk matrix (Grover diffusion 2J/3 - I):")
-print(walk.dense)
+print(hw.walk_action(walk, np.eye(walk.size)))
 
 psi = hw.basis_pair_state(single, 0, 0)
 stepped = hw.apply_walk(walk, psi)
@@ -24,7 +24,7 @@ print("\none step from basis pair (0,0):", stepped.amplitudes.real)
 print("vertex marginal:", hw.vertex_distribution(single, stepped).probabilities)
 
 # On the triangle: amplitudes spread, norms are conserved exactly, and the
-# factored application agrees with the dense matrix.
+# factored application agrees with the textbook product of reflections.
 triangle = hw.from_edge_lists(3, [{0, 1}, {1, 2}, {0, 2}])
 walk = hw.build_walk(hw.build_transitions(triangle))
 
@@ -34,9 +34,16 @@ for t, state in enumerate(hw.evolve(walk, psi, 6)):
     marginal = hw.vertex_distribution(triangle, state).probabilities
     print(f"t={t}: marginal={np.round(marginal, 6)}  norm drift={abs(state.norm - 1.0):.2e}")
 
-dense_step = walk.dense @ psi.amplitudes
-factored_step = hw.apply_walk(walk, psi).amplitudes
-print("factored vs dense max difference:", np.abs(dense_step - factored_step).max())
+# The dense 6 x 3 isometries: A holds sqrt(p_ve) at row (v, e), column v;
+# B holds sqrt(p_ev) at row (v, e), column e.
+rows, eye = np.arange(walk.size), np.eye(walk.size)
+a = np.zeros((walk.size, triangle.n))
+a[rows, triangle.pair_v] = walk.vertex_weights
+b = np.zeros((walk.size, triangle.m))
+b[rows, triangle.pair_e] = walk.edge_weights
+textbook = (2 * (b @ b.T) - eye) @ (2 * (a @ a.T) - eye)
+factored = hw.walk_action(walk, eye)
+print("walk_action vs (2BB^T - I)(2AA^T - I) max difference:", np.abs(textbook - factored).max())
 
 # A step never needs the dense matrix: it is two segment sums over the
 # pair list, O(N) per step, and long evolutions stay on the unit sphere to

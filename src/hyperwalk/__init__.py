@@ -32,13 +32,11 @@ from .hypergraph import (
     serialize,
 )
 from .operators import (
-    DENSE_CAP_ENV,
     StateVector,
     WalkOperator,
     apply_walk,
     basis_pair_state,
     build_walk,
-    dense_cap,
     evolve,
     vertex_distribution,
     vertex_superposition,
@@ -46,11 +44,13 @@ from .operators import (
 )
 from .spectral import (
     CLASSIFY_TOL_DEFAULT,
+    DENSE_CAP_ENV,
     SpectralReport,
     VERIFY_TOL_DEFAULT,
     analyze,
     brute_force_spectrum,
     classify_singular_values,
+    dense_cap,
     discriminant,
     full_svd,
     predict_spectrum,

@@ -28,7 +28,6 @@ from .hypergraph import (
 from .operators import (
     basis_pair_state,
     build_walk,
-    dense_cap,
     evolve,
     vertex_distribution,
     vertex_superposition,
@@ -38,6 +37,7 @@ from .spectral import (
     TOL_CEILING,
     VERIFY_TOL_DEFAULT,
     analyze,
+    dense_cap,
 )
 
 

@@ -14,8 +14,7 @@ has one column per hyperedge e, with amplitudes b = sqrt(p_ev). Each has one
 nonzero per row, so a WalkOperator holds only the two weight vectors over
 the pair list. A walk step is the reflection 2AA^T - I followed by
 2BB^T - I, which walk_action applies as segment sums in O(N), summing all
-segments of one length together (see Hypergraph.segment_groups). The
-dense walk matrix is scattered from the pair lists.
+segments of one length together (see Hypergraph.segment_groups).
 
 Amplitudes are complex throughout, even though the walk matrix is real
 orthogonal, because its eigenvectors are genuinely complex.
@@ -23,7 +22,6 @@ orthogonal, because its eigenvectors are genuinely complex.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -33,35 +31,7 @@ from .classical import Distribution, TransitionSystem
 from .errors import HyperwalkError
 from .hypergraph import Hypergraph
 
-DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
-_DEFAULT_DENSE_CAP = 4096
 _NORM_HARD_TOL = 1e-9
-_SCATTER_BLOCKS, _SCATTER_ENTRIES = 32, 1 << 15
-
-
-def dense_cap() -> int:
-    """Largest pair dimension N for a dense walk matrix, overridable via HYPERWALK_DENSE_CAP."""
-    raw = os.environ.get(DENSE_CAP_ENV)
-    if raw is None:
-        return _DEFAULT_DENSE_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise HyperwalkError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise HyperwalkError(f"{DENSE_CAP_ENV} must be >= 1, got {value}")
-    return value
-
-
-def _sharing(rows: np.ndarray, order: np.ndarray, starts: np.ndarray, group: np.ndarray):
-    """Each pair sharing its group with an entry of rows, as (position in rows, pair);
-    group[x] is the group of pair x, and group g is order[starts[g]:starts[g + 1]]."""
-    bounds = np.append(starts, order.size)
-    g = group[rows]
-    count = bounds[g + 1] - bounds[g]
-    at = np.repeat(np.arange(rows.size), count)
-    offset = np.arange(at.size) - np.repeat(np.cumsum(count) - count, count)
-    return at, order[bounds[g][at] + offset]
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,51 +49,6 @@ class WalkOperator:
     @property
     def size(self) -> int:
         return self.hypergraph.pair_v.size
-
-    @property
-    def dense(self) -> np.ndarray:
-        """(2BB^T - I)(2AA^T - I), scattered from the pair lists, independent of walk_action.
-
-        Expanded, W = 4 BB^T AA^T - 2 BB^T - 2 AA^T + I, where
-        (BB^T AA^T)[p, q] = b_p b_r a_r a_q for the one pair r = (v_q, e_p),
-        if incident. Each block of rows p lists every r sharing p's
-        hyperedge (the support of BB^T) and every q sharing r's vertex; q
-        shares p's vertex (the support of AA^T) where r = p. No (p, q)
-        repeats within a term.
-
-        Raises HyperwalkError when N exceeds the dense cap.
-        """
-        cap = dense_cap()
-        if self.size > cap:
-            raise HyperwalkError(f"pair dimension {self.size} exceeds dense cap {cap}")
-        hg = self.hypergraph
-        a, b = self.vertex_weights, self.edge_weights
-        vertex_starts, edge_order, edge_starts = hg.segments
-        pairs = np.arange(self.size)
-        out = np.zeros((self.size, self.size))
-        for rows in self._row_blocks():
-            at, r = _sharing(rows, edge_order, edge_starts, hg.pair_e)
-            p = rows[at]
-            at, q = _sharing(r, pairs, vertex_starts, hg.pair_v)
-            pq, rq = p[at], r[at]
-            out[pq, q] = 4.0 * b[pq] * b[rq] * a[rq] * a[q]
-            out[p, r] -= 2.0 * b[p] * b[r]
-            own = pq == rq
-            out[pq[own], q[own]] -= 2.0 * a[pq[own]] * a[q[own]]
-        out[pairs, pairs] += 1.0
-        return out
-
-    def _row_blocks(self):
-        """The pair numbers in blocks of rows that each scatter at most
-        max(N^2 / 32, 2^15) entries, however the pairs are grouped: a row
-        meets at most (largest degree) x (largest hyperedge) pairs. With
-        small groups one block takes every row, so no index array is small
-        enough for numpy to cache and keep between large matrices."""
-        vertex_starts, _, edge_starts = self.hypergraph.segments
-        per_row = int(np.diff(vertex_starts, append=self.size).max() * np.diff(edge_starts, append=self.size).max())
-        step = max(1, max(self.size**2 // _SCATTER_BLOCKS, _SCATTER_ENTRIES) // per_row)
-        pairs = np.arange(self.size)
-        return (pairs[lo : lo + step] for lo in range(0, self.size, step))
 
 
 @dataclass(frozen=True, eq=False)

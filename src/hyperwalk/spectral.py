@@ -58,6 +58,7 @@ N_i - q_i - |n_i - m_i| exactly 0 (the derivation is in brute_force_spectrum).
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,11 +67,13 @@ import numpy as np
 from .classical import TransitionSystem, build_transitions
 from .errors import HyperwalkError
 from .hypergraph import Hypergraph, component_count, component_labels, degree_profile, scatter
-from .operators import WalkOperator, build_walk, dense_cap, walk_action
+from .operators import WalkOperator, build_walk, walk_action
 
+DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
 CLASSIFY_TOL_DEFAULT = 1e-9
 VERIFY_TOL_DEFAULT = 1e-8
 TOL_CEILING = 1e-3
+_DEFAULT_DENSE_CAP = 4096
 _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
 _RESIDUAL_BLOCK = 32  # singular indices and cycles per residual block, walked as N x 96 real columns
@@ -370,6 +373,20 @@ def predict_spectrum(
         svd=svd,
         walk=walk,
     )
+
+
+def dense_cap() -> int:
+    """Largest pair dimension N the eigenvalue oracle runs on, overridable via HYPERWALK_DENSE_CAP."""
+    raw = os.environ.get(DENSE_CAP_ENV)
+    if raw is None:
+        return _DEFAULT_DENSE_CAP
+    try:
+        value = int(raw)
+    except ValueError:
+        raise HyperwalkError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise HyperwalkError(f"{DENSE_CAP_ENV} must be >= 1, got {value}")
+    return value
 
 
 def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:

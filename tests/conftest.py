@@ -40,8 +40,8 @@ def cycle(n: int) -> hw.Hypergraph:
 
 
 def hub_and_rim(n: int) -> hw.Hypergraph:
-    """One hyperedge over all n vertices plus the n-cycle (N = 3n): a row meets
-    up to 3n pairs, so the dense scatters run in several row blocks."""
+    """One hyperedge over all n vertices plus the n-cycle (N = 3n): one hyperedge
+    segment of n pairs beside n of 2 pairs, and every vertex segment holds 3 pairs."""
     return hw.from_edge_lists(n, [range(n)] + [{i, (i + 1) % n} for i in range(n)])
 
 
@@ -131,6 +131,13 @@ def edge_isometry(walk) -> np.ndarray:
     b = np.zeros((walk.size, walk.hypergraph.m))
     b[np.arange(walk.size), walk.hypergraph.pair_e] = walk.edge_weights
     return b
+
+
+def dense_walk(walk) -> np.ndarray:
+    """The walk matrix as the textbook product of reflections (2BB^T - I)(2AA^T - I),
+    from the dense isometry views alone: it shares no code with walk_action."""
+    a, b, eye = vertex_isometry(walk), edge_isometry(walk), np.eye(walk.size)
+    return (2 * (b @ b.T) - eye) @ (2 * (a @ a.T) - eye)
 
 
 def eigenvectors(prediction) -> np.ndarray:

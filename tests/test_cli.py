@@ -332,6 +332,20 @@ def test_fuzz_infeasible_caps_exit_code(monkeypatch):
     assert main(["fuzz", "--count", "1"]) == 2
 
 
+def test_bad_dense_cap_fails_only_the_commands_that_read_it(triangle_file, capsys, monkeypatch):
+    # spectrum and fuzz read the cap; evolve, classical and info never do.
+    monkeypatch.setenv(hw.DENSE_CAP_ENV, "0")
+    for argv in (["spectrum", triangle_file], ["fuzz", "--count", "1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: HYPERWALK_DENSE_CAP must be >= 1, got 0\n"
+    for argv in (
+        ["evolve", triangle_file, "--start", "v:0", "--steps", "1"],
+        ["classical", triangle_file, "--start", "v:0", "--steps", "1"],
+        ["info", triangle_file],
+    ):
+        assert main(argv) == 0
+
+
 def test_fuzz_reproducible_per_seed(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

@@ -7,6 +7,7 @@ import hyperwalk as hw
 from conftest import (
     IRREGULAR,
     battery,
+    dense_walk,
     edge_isometry,
     hub_and_rim,
     mixed_lengths,
@@ -94,7 +95,7 @@ def test_isometry_product_equals_entrywise_discriminant():
 def test_walk_single_edge_is_grover_diffusion():
     _, walk = pipeline(single_edge())
     expected = 2 * np.ones((3, 3)) / 3 - np.eye(3)
-    assert np.abs(walk.dense - expected).max() <= 1e-14
+    assert np.abs(hw.walk_action(walk, np.eye(3)) - expected).max() <= 1e-14
 
 
 def test_reflections_are_involutions():
@@ -110,7 +111,8 @@ def test_walk_is_orthogonal():
     for hg in [triangle(), six_by_four()] + random_instances(6, seed=32):
         _, walk = pipeline(hg)
         eye = np.eye(walk.size)
-        assert np.abs(walk.dense.T @ walk.dense - eye).max() <= 1e-10
+        matrix = hw.walk_action(walk, eye)
+        assert np.abs(matrix.T @ matrix - eye).max() <= 1e-10
 
 
 def test_dense_matrix_is_product_of_reflections():
@@ -125,25 +127,22 @@ def test_dense_matrix_is_product_of_reflections():
     ]
     for hg in instances:
         _, walk = pipeline(hg)
-        a, b = vertex_isometry(walk), edge_isometry(walk)
-        eye = np.eye(walk.size)
-        reflect_v = 2 * (a @ a.T) - eye
-        reflect_e = 2 * (b @ b.T) - eye
-        assert np.abs(walk.dense - reflect_e @ reflect_v).max() <= 1e-12
+        assert np.abs(hw.walk_action(walk, np.eye(walk.size)) - dense_walk(walk)).max() <= 1e-12
 
 
-def test_dense_cap_controls_materialization(monkeypatch):
-    monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
-    _, walk = pipeline(triangle())
-    with pytest.raises(hw.HyperwalkError, match="pair dimension 6 exceeds dense cap 4"):
-        walk.dense
-    out = hw.apply_walk(walk, hw.basis_pair_state(triangle(), 0, 0))
-    assert abs(out.norm - 1.0) <= 1e-12
-
-
-def test_dense_cap_env_validation(monkeypatch):
-    monkeypatch.setenv(hw.DENSE_CAP_ENV, "zero")
-    with pytest.raises(hw.HyperwalkError, match="must be an integer"):
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("zero", "must be an integer, got 'zero'"),
+        ("4096.0", "must be an integer, got '4096.0'"),
+        ("0", "must be >= 1, got 0"),
+        ("-3", "must be >= 1, got -3"),
+    ],
+    ids=["zero", "4096.0", "0", "-3"],
+)
+def test_dense_cap_env_validation(monkeypatch, raw, message):
+    monkeypatch.setenv(hw.DENSE_CAP_ENV, raw)
+    with pytest.raises(hw.HyperwalkError, match=message):
         hw.dense_cap()
 
 
@@ -166,7 +165,7 @@ def test_factored_application_matches_dense():
         _, walk = pipeline(hg)
         psi = random_state(walk.size, seed=7 * walk.size + 1)
         factored = hw.apply_walk(walk, psi).amplitudes
-        dense = walk.dense @ psi.amplitudes
+        dense = dense_walk(walk) @ psi.amplitudes
         assert np.abs(factored - dense).max() <= 1e-12
 
 
@@ -187,7 +186,7 @@ def test_walk_action_matches_dense_on_mixed_segment_lengths(build):
     if build is mixed_lengths:
         for sizes in (hw.degree_profile(hg).vertex_degrees, hw.degree_profile(hg).edge_degrees):
             assert np.unique(sizes).size >= 10
-    dense = walk.dense
+    dense = dense_walk(walk)
     rng = np.random.default_rng(walk.size)
     for shape, is_complex in [((walk.size,), True), ((walk.size, 3), False), ((walk.size, 3), True)]:
         x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if is_complex else 0.0)
@@ -199,7 +198,7 @@ def test_double_application_matches_dense_square():
         _, walk = pipeline(hg)
         psi = random_state(walk.size, seed=11 * walk.size)
         twice = hw.apply_walk(walk, hw.apply_walk(walk, psi)).amplitudes
-        dense = np.linalg.matrix_power(walk.dense, 2) @ psi.amplitudes
+        dense = np.linalg.matrix_power(dense_walk(walk), 2) @ psi.amplitudes
         assert np.abs(twice - dense).max() <= 1e-11
 
 
@@ -236,7 +235,7 @@ def test_evolve_two_steps_single_edge_against_matrix_power():
     _, walk = pipeline(single_edge())
     psi = hw.basis_pair_state(single_edge(), 0, 0)
     *_, out = hw.evolve(walk, psi, 2)
-    oracle = np.linalg.matrix_power(walk.dense, 2) @ psi.amplitudes
+    oracle = np.linalg.matrix_power(dense_walk(walk), 2) @ psi.amplitudes
     assert np.abs(out.amplitudes - oracle).max() <= 1e-12
 
 

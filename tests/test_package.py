@@ -19,5 +19,5 @@ def test_every_exception_is_a_hyperwalk_error():
     assert all(issubclass(error, hw.HyperwalkError) for error in errors)
 
 
-def test_public_api_has_at_most_40_names():
-    assert len(hw.__all__) <= 40
+def test_public_api_has_at_most_37_names():
+    assert len(hw.__all__) <= 37

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import hyperwalk as hw
 from hyperwalk.cli import _series_lines, main
 from hyperwalk.spectral import pairing_distance
-from conftest import pipeline, union_find_components
+from conftest import dense_walk, pipeline, union_find_components
 
 # Edge lines under an "n 4" header: valid edges, integer lists that may
 # repeat a vertex or leave [0, 4), and lines of junk tokens.
@@ -67,7 +67,7 @@ def test_analyze_counts_one_unit_per_component_and_passes(hg, classify_tol):
 @given(hg=hypergraphs())
 def test_oracle_matches_dense_eigvals(hg):
     _, walk = pipeline(hg)
-    assert pairing_distance(hw.brute_force_spectrum(walk), np.linalg.eigvals(walk.dense)) <= 1e-12
+    assert pairing_distance(hw.brute_force_spectrum(walk), np.linalg.eigvals(dense_walk(walk))) <= 1e-12
 
 
 def isometric_walk(hg, seed):
@@ -91,7 +91,7 @@ def isometric_walk(hg, seed):
 @example(hg=hw.from_edge_lists(3, [{0}, {0, 1, 2}, {2}]), seed=3)  # singleton segments on both sides
 def test_oracle_matches_dense_eigvals_for_any_isometric_weights(hg, seed):
     walk = isometric_walk(hg, seed)
-    assert pairing_distance(hw.brute_force_spectrum(walk), np.linalg.eigvals(walk.dense)) <= 1e-12
+    assert pairing_distance(hw.brute_force_spectrum(walk), np.linalg.eigvals(dense_walk(walk))) <= 1e-12
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -151,7 +151,7 @@ def test_walk_action_matches_dense(hg, seed, columns):
     rng = np.random.default_rng(seed)
     shape = (walk.size,) if columns is None else (walk.size, columns)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.abs(hw.walk_action(walk, x) - walk.dense @ x).max() <= 1e-12
+    assert np.abs(hw.walk_action(walk, x) - dense_walk(walk) @ x).max() <= 1e-12
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -12,6 +12,7 @@ from conftest import (
     IRREGULAR,
     battery,
     cycle,
+    dense_walk,
     disjoint_union,
     edge_isometry,
     eigenvectors,
@@ -211,6 +212,9 @@ def test_brute_force_requires_dense(monkeypatch):
     _, walk = pipeline(triangle())
     with pytest.raises(hw.HyperwalkError, match="pair dimension 6 exceeds dense cap 4"):
         hw.brute_force_spectrum(walk)
+    # Only the oracle reads the cap: a walk step runs at any N.
+    out = hw.apply_walk(walk, hw.basis_pair_state(triangle(), 0, 0))
+    assert abs(out.norm - 1.0) <= 1e-12
     # The cap bounds N, not the largest component: two triangles are refused
     # at a cap each of their 6-pair blocks would fit.
     monkeypatch.setenv(hw.DENSE_CAP_ENV, "6")
@@ -277,7 +281,7 @@ def test_irregular_instances(n, edges, units):
     assert sum(entry["multiplicity"] for entry in report.to_json_dict()["predicted"]) == report.size
     _, walk = pipeline(hg)
     psi = random_state(walk.size, seed=walk.size)
-    assert np.abs(hw.apply_walk(walk, psi).amplitudes - walk.dense @ psi.amplitudes).max() <= 1e-12
+    assert np.abs(hw.apply_walk(walk, psi).amplitudes - dense_walk(walk) @ psi.amplitudes).max() <= 1e-12
 
 
 def test_cycle_basis_spans_the_complement():
@@ -332,7 +336,7 @@ def test_streamed_residuals_match_dense_columns(build, classify_tol):
     vectors = eigenvectors(pred)
     assert vectors.shape == (walk.size, walk.size) and vectors.dtype == np.complex128
     np.testing.assert_array_equal(eigenvectors(pred), vectors)
-    dense = np.linalg.norm(walk.dense @ vectors - vectors * pred.eigenvalues, axis=0)
+    dense = np.linalg.norm(dense_walk(walk) @ vectors - vectors * pred.eigenvalues, axis=0)
     assert np.abs(pred.residuals - dense).max() <= 1e-12
 
 
@@ -415,7 +419,7 @@ def test_blocked_oracle_matches_dense_eigvals(build):
     _, walk = pipeline(hg)
     blocked = hw.brute_force_spectrum(walk)
     assert blocked.shape == (walk.size,)
-    assert pairing_distance(blocked, np.linalg.eigvals(walk.dense)) <= 1e-12
+    assert pairing_distance(blocked, np.linalg.eigvals(dense_walk(walk))) <= 1e-12
     # Outside the compression, each component's N_i - n_i - m_i phases, if positive, are exactly 0,
     # and its |n_i - m_i| unpaired directions on the larger side are exactly pi.
     sizes = component_sizes(hg)
@@ -533,7 +537,7 @@ def test_oracle_accepts_weights_that_vary_within_a_vertex(monkeypatch):
 
     monkeypatch.setattr(hw.spectral, "cycle_basis", unused)
     for weighted in walks:
-        assert pairing_distance(hw.brute_force_spectrum(weighted), np.linalg.eigvals(weighted.dense)) <= 1e-12
+        assert pairing_distance(hw.brute_force_spectrum(weighted), np.linalg.eigvals(dense_walk(weighted))) <= 1e-12
 
 
 @pytest.mark.parametrize("side", ["vertex", "edge"])
@@ -547,12 +551,12 @@ def test_oracle_rejects_weights_that_are_not_isometries(side):
 
 
 def test_oracle_and_prediction_memory_budget():
-    # At N = 1200 the dense walk matrix is N^2 * 8 bytes. It is scattered
-    # into the result, the only N x N array, from index arrays that stay
-    # small even when one hyperedge holds every pair and W has no zero; the
-    # residual pass over the prediction holds one block of columns at a time,
-    # under half an N x N matrix, and the test helper's eigenvector matrix is
-    # the only N x N array it builds.
+    # At N = 1200 an N x N real matrix is N^2 * 8 bytes, and nothing below
+    # builds the walk matrix. The oracle stays under one and a half of those,
+    # even when one hyperedge holds every pair; the residual pass over the
+    # prediction holds one block of columns at a time, under half an N x N
+    # matrix, and the test helper's eigenvector matrix is the only N x N array
+    # it builds.
     hg = hw.random_regular_uniform(600, 400, 3, 2, seed=1)
     ts, walk = pipeline(hg)
     _, crowded = pipeline(hw.from_edge_lists(1200, [range(1200)]))
@@ -571,8 +575,6 @@ def test_oracle_and_prediction_memory_budget():
         finally:
             tracemalloc.stop()
 
-    assert traced_peak(lambda: walk.dense) <= 1.5 * matrix_bytes
-    assert traced_peak(lambda: crowded.dense) <= 1.5 * matrix_bytes
     # The oracle's one matrix of order q = min(N - l, s) + s, l >= s the two sides, holds Y' and
     # then X'; the compression's (N - l) x s, l x s and q x s temporaries are dropped before the
     # solves. The single hyperedge has l = 1200 and s = 1, so q = 1 and only O(N) arrays remain.
