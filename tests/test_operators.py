@@ -130,6 +130,18 @@ def test_dense_matrix_is_product_of_reflections():
         assert np.abs(hw.walk_action(walk, np.eye(walk.size)) - dense_walk(walk)).max() <= 1e-12
 
 
+def test_dense_cap_controls_materialization(monkeypatch):
+    # The cap bounds only the eigenvalue oracle, the one step that builds dense
+    # blocks; walk steps and the walk's action on a matrix run at any N.
+    monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
+    _, walk = pipeline(triangle())
+    with pytest.raises(hw.HyperwalkError, match="pair dimension 6 exceeds dense cap 4"):
+        hw.brute_force_spectrum(walk)
+    out = hw.apply_walk(walk, hw.basis_pair_state(triangle(), 0, 0))
+    assert abs(out.norm - 1.0) <= 1e-12
+    assert np.abs(hw.walk_action(walk, np.eye(walk.size)) - dense_walk(walk)).max() <= 1e-12
+
+
 @pytest.mark.parametrize(
     "raw, message",
     [

@@ -212,9 +212,6 @@ def test_brute_force_requires_dense(monkeypatch):
     _, walk = pipeline(triangle())
     with pytest.raises(hw.HyperwalkError, match="pair dimension 6 exceeds dense cap 4"):
         hw.brute_force_spectrum(walk)
-    # Only the oracle reads the cap: a walk step runs at any N.
-    out = hw.apply_walk(walk, hw.basis_pair_state(triangle(), 0, 0))
-    assert abs(out.norm - 1.0) <= 1e-12
     # The cap bounds N, not the largest component: two triangles are refused
     # at a cap each of their 6-pair blocks would fit.
     monkeypatch.setenv(hw.DENSE_CAP_ENV, "6")
