@@ -6,10 +6,8 @@ those pairs gives a two-reflection walk operator whose eigensystem is
 fully determined by the singular value decomposition of the discriminant
 matrix sqrt(p_ve * p_ev). This package builds every piece and verifies the
 predicted eigensystem against the walk's eigenvalues, found without the SVD
-from symmetric eigenvalue problems per connected component:
-I - W = 2 R_B (P_B - P_A) gives every phase phi as 2 arcsin|sin(phi / 2)|,
-and only a component with a phase near pi (some cos(phi / 2) < 0.03) also
-solves I + W = 2 R_B (P_A + P_B - I) to read those phases by arccos.
+from symmetric eigenvalue problems per connected component (the derivation
+is in spectral.brute_force_spectrum).
 """
 
 from .classical import (

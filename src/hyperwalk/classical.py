@@ -120,30 +120,15 @@ def classical_step(ts: TransitionSystem, dist: Distribution) -> Distribution:
     return Distribution(np.bincount(hg.pair_v, weights=flow_ev, minlength=ts.n))
 
 
-def _segment_cumsum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Running sums that restart at each of starts[:-1] (starts[-1] is the end).
-
-    The additions happen in the same order as np.cumsum on each segment,
-    so the sums are bit-identical to it.
-    """
-    offsets = np.arange(values.size) - np.repeat(starts[:-1], np.diff(starts))
-    order = np.argsort(offsets, kind="stable")
-    bounds = np.searchsorted(offsets[order], np.arange(1, offsets.max(initial=0) + 2))
-    cum = values.copy()
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        at = order[lo:hi]
-        cum[at] = cum[at - 1] + values[at]
-    return cum
-
-
 def sample_trajectory(ts: TransitionSystem, start_vertex: int, steps: int, seed: int = 0) -> list[int]:
     """Sample v0, e0, v1, e1, ..., v_steps as alternating vertex/edge indices.
 
     Each hyperedge is drawn from the current vertex's pairs with weights
     p_ve, and each next vertex from that hyperedge's pairs with weights
     p_ev: a uniform draw is located in the segment's running sum, and a draw
-    past its rounded total takes the segment's last pair. Deterministic for
-    a fixed seed; length is 2*steps + 1.
+    past its rounded total takes the segment's last pair. The running sums
+    come from the rows of hg.segment_groups, adding in segment order as
+    np.cumsum does. Deterministic for a fixed seed; length is 2*steps + 1.
     """
     if not 0 <= start_vertex < ts.n:
         raise HyperwalkError(f"start vertex {start_vertex} outside [0, {ts.n})")
@@ -151,12 +136,14 @@ def sample_trajectory(ts: TransitionSystem, start_vertex: int, steps: int, seed:
         raise HyperwalkError("steps must be >= 0")
     hg = ts.hypergraph
     vertex_starts, edge_order, edge_starts = hg.segments
-    vertex_starts = np.append(vertex_starts, edge_order.size)
-    edge_starts = np.append(edge_starts, edge_order.size)
-    cum_ve = _segment_cumsum(ts.p_ve, vertex_starts).tolist()
-    cum_ev = _segment_cumsum(ts.p_ev[edge_order], edge_starts).tolist()
+    cum_ve, cum_ev = np.empty_like(ts.p_ve), np.empty_like(ts.p_ev)
+    for weights, cum, (groups, _) in zip((ts.p_ve, ts.p_ev), (cum_ve, cum_ev), hg.segment_groups):
+        for group in groups:
+            cum[group] = np.cumsum(weights[group], axis=0)
+    cum_ve, cum_ev = cum_ve.tolist(), cum_ev[edge_order].tolist()
     edge_of, vertex_of = hg.pair_e.tolist(), hg.pair_v[edge_order].tolist()
-    vertex_starts, edge_starts = vertex_starts.tolist(), edge_starts.tolist()
+    end = [edge_order.size]
+    vertex_starts, edge_starts = vertex_starts.tolist() + end, edge_starts.tolist() + end
     draws = np.random.default_rng(seed).random(2 * steps).tolist()
     path = [start_vertex]
     v = start_vertex

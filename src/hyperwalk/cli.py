@@ -41,22 +41,30 @@ from .spectral import (
 )
 
 
+def _integer(text: str) -> int:
+    """text read as .hg integers are; a ValueError makes argparse report an invalid value."""
+    values = read_integers([text])
+    if values is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return values[0]
+
+
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
     return value
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value

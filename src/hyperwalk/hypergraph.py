@@ -96,7 +96,9 @@ class Hypergraph:
     @cached_property
     def segment_groups(self) -> tuple[tuple[list[np.ndarray], np.ndarray], ...]:
         """For the vertices, then the hyperedges: one L x count array of pair indices per
-        segment length L, and each pair's place among the groups' concatenated sums."""
+        segment length L, and each pair's place among the groups' concatenated sums.
+        Row o holds each segment's pair at offset o; walk_action sums down the rows,
+        and sample_trajectory takes its running sums down them."""
         vertex_starts, edge_order, edge_starts = self.segments
         sides, pairs = [], np.arange(self.pair_v.size)
         for order, starts, ids in ((pairs, vertex_starts, self.pair_v), (edge_order, edge_starts, self.pair_e)):

@@ -39,20 +39,9 @@ per connected component scattered from its pairs, and checks every
 predicted eigenvector's walk_action residual, walking each real column A mu,
 B nu and cycle once, in blocks built and dropped in turn (see residuals).
 
-The oracle solves symmetric eigenproblems instead of a general one: with
-P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A, so
-I - W = 2 R_B (P_B - P_A) and I + W = 2 R_B (P_A + P_B - I), whose
-singular values |sin(phi / 2)| and |cos(phi / 2)| give the eigenphases phi.
-It reads every phase as 2 arcsin|sin(phi / 2)|, whose error is at most
-2 delta / cos(phi / 2) for an absolute error delta in the sine, and solves
-the second matrix only for a component with some cos(phi / 2) < 0.03, such
-as a null sigma's phase pi: one solve per component, two when a phase nears
-pi. One orthogonal basis change per component compresses both matrices onto
-the range of A and B together and splits off the larger side's
-|n_i - m_i| unpaired directions, so each solve has order
-q_i = min(N_i - l_i, s_i) + s_i, with l_i = max(n_i, m_i) and
-s_i = min(n_i, m_i); the unpaired phases are exactly pi and the other
-N_i - q_i - |n_i - m_i| exactly 0 (the derivation is in brute_force_spectrum).
+The oracle reads the walk's eigenphases from symmetric eigenproblems, one
+or two per component, of order at most twice the component's smaller side;
+brute_force_spectrum holds the derivation.
 """
 
 from __future__ import annotations
@@ -66,7 +55,7 @@ import numpy as np
 
 from .classical import TransitionSystem, build_transitions
 from .errors import HyperwalkError
-from .hypergraph import Hypergraph, component_count, component_labels, degree_profile, scatter
+from .hypergraph import Hypergraph, component_count, component_labels, degree_profile, read_integers, scatter
 from .operators import WalkOperator, build_walk, walk_action
 
 DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
@@ -380,10 +369,10 @@ def dense_cap() -> int:
     raw = os.environ.get(DENSE_CAP_ENV)
     if raw is None:
         return _DEFAULT_DENSE_CAP
-    try:
-        value = int(raw)
-    except ValueError:
-        raise HyperwalkError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from None
+    parsed = read_integers([raw])
+    if parsed is None:
+        raise HyperwalkError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}")
+    value = parsed[0]
     if value < 1:
         raise HyperwalkError(f"{DENSE_CAP_ENV} must be >= 1, got {value}")
     return value
@@ -398,6 +387,7 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     block is renumbered in (v, e) order so the weights stay aligned, built
     once every hyperedge's pairs carry one label.
 
+    With P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A.
     Per block, eigvalsh of Y = P_B - P_A and X = P_A + P_B - I give
     |sin(phi / 2)| and |cos(phi / 2)| over the eigenphases phi, because
     I - W = 2 R_B Y and I + W = 2 R_B X with R_B orthogonal, and W is normal.

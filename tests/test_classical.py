@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from hyperwalk.classical import _segment_cumsum
-from conftest import battery, random_instances, single_edge, six_by_four, triangle
+from conftest import battery, hub_and_rim, mixed_lengths, random_instances, single_edge, six_by_four, star, triangle
 
 
 def scalar_vertex_chain(hg):
@@ -187,15 +186,6 @@ def test_trajectory_visit_frequencies_near_stationary():
     assert 0.5 * np.abs(visits - 1 / 3).sum() <= 0.05
 
 
-def test_segment_cumsum_is_bitwise_cumsum_per_segment():
-    rng = np.random.default_rng(12)
-    lengths = np.array([1, 5, 2, 9, 1, 3])
-    values = rng.random(lengths.sum())
-    starts = np.concatenate(([0], np.cumsum(lengths)))
-    expected = np.concatenate([np.cumsum(values[a:b]) for a, b in zip(starts[:-1], starts[1:])])
-    np.testing.assert_array_equal(_segment_cumsum(values, starts), expected)
-
-
 def dense_reference_trajectory(ts, start_vertex, steps, seed):
     """The trajectory drawn from row cumsums of the dense stochastic matrices."""
     rng = np.random.default_rng(seed)
@@ -211,7 +201,17 @@ def dense_reference_trajectory(ts, start_vertex, steps, seed):
     return path
 
 
+def random_transitions(hg, seed):
+    """Random positive per-pair weights, normalised over each vertex's and each hyperedge's pairs."""
+    rng = np.random.default_rng(seed)
+    w_ve, w_ev = rng.random((2, hg.pair_v.size)) + 0.1
+    p_ve = w_ve / np.bincount(hg.pair_v, weights=w_ve)[hg.pair_v]
+    p_ev = w_ev / np.bincount(hg.pair_e, weights=w_ev)[hg.pair_e]
+    return hw.TransitionSystem(hypergraph=hg, p_ve=p_ve, p_ev=p_ev)
+
+
 def test_trajectory_matches_dense_reference():
+    """Equal to draws from the dense rows' cumsums, over segment lengths 1 to 600 and uneven weights."""
     instances = [
         triangle(),
         six_by_four(),
@@ -219,9 +219,15 @@ def test_trajectory_matches_dense_reference():
         hw.from_edge_lists(5, [{0, 1}, {1, 2}, {0, 2}, {3, 4}]),
         hw.from_edge_lists(3, [{0}, {0, 1, 2}, {2}]),
         hw.random_regular_uniform(20, 12, 5, 3, seed=3),
+        star(),
+        mixed_lengths(),
+        hub_and_rim(40),
     ]
-    for hg in instances:
-        ts = hw.build_transitions(hg)
+    systems = [hw.build_transitions(hg) for hg in instances]
+    uneven = [mixed_lengths(), hub_and_rim(40), hw.random_regular_uniform(20, 12, 5, 3, seed=3)]
+    systems += [random_transitions(hg, seed) for seed, hg in enumerate(uneven)]
+    for ts in systems:
+        hg = ts.hypergraph
         for seed in range(4):
             start = seed % hg.n
             assert hw.sample_trajectory(ts, start, 300, seed=seed) == dense_reference_trajectory(

@@ -359,6 +359,18 @@ def test_usage_error_exit_code():
     assert main(["nonsense"]) == 2
 
 
+def test_integer_options_are_read_as_hg_integers(triangle_file, capsys):
+    gen = ["gen", "--m", "1", "--k", "3", "--d", "1"]
+    evolve = ["evolve", triangle_file, "--start", "v:0"]
+    for argv, error in (
+        (gen + ["--n", "\u0663"], "--n: invalid _positive value: '\u0663'"),
+        (gen + ["--n", "3", "--seed", "1_0"], "--seed: invalid _seed value: '1_0'"),
+        (evolve + ["--steps", " +3"], "--steps: invalid _nonnegative value: ' +3'"),
+    ):
+        assert main(argv) == 2
+        assert f"error: argument {error}\n" in capsys.readouterr().err
+
+
 def test_seed_must_be_unsigned_64_bit():
     assert main(["gen", "--n", "3", "--m", "1", "--k", "3", "--d", "1", "--seed", "-1"]) == 2
     assert main(["gen", "--n", "3", "--m", "1", "--k", "3", "--d", "1", "--seed", str(2**64)]) == 2

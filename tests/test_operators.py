@@ -149,8 +149,11 @@ def test_dense_cap_controls_materialization(monkeypatch):
         ("4096.0", "must be an integer, got '4096.0'"),
         ("0", "must be >= 1, got 0"),
         ("-3", "must be >= 1, got -3"),
+        ("1_0", "must be an integer, got '1_0'"),
+        (" 12", "must be an integer, got ' 12'"),
+        ("\u0663", "must be an integer, got '\u0663'"),
     ],
-    ids=["zero", "4096.0", "0", "-3"],
+    ids=["zero", "4096.0", "0", "-3", "1_0", "leading-space", "arabic-indic-digit"],
 )
 def test_dense_cap_env_validation(monkeypatch, raw, message):
     monkeypatch.setenv(hw.DENSE_CAP_ENV, raw)
