@@ -7,12 +7,20 @@ import numpy as np
 
 import hyperwalk as hw
 
+
+def incidence(hg):
+    """The dense n x m 0/1 matrix, built from the stored pairs: 1 at each (v, e)."""
+    h = np.zeros((hg.n, hg.m), dtype=int)
+    h[hg.pair_v, hg.pair_e] = 1
+    return h
+
+
 # A hypergraph is a set of vertices plus hyperedges, each hyperedge an
 # arbitrary non-empty subset of the vertices. The triangle graph, read as a
 # hypergraph, has three 2-element hyperedges.
 triangle = hw.from_edge_lists(3, [{0, 1}, {1, 2}, {0, 2}])
 print("triangle incidence matrix (a dense view, built on access):")
-print(triangle.incidence)
+print(incidence(triangle))
 
 profile = hw.degree_profile(triangle)
 print("vertex degrees:", profile.vertex_degrees, "-> regular with d =", profile.d)
@@ -34,8 +42,9 @@ print("per-side degrees from the list:", np.bincount(triangle.pair_v), np.bincou
 # configuration model and are deterministic per seed.
 hg = hw.random_regular_uniform(n=6, m=4, k=3, d=2, seed=7)
 print("\nrandom 2-regular 3-uniform instance on 6 vertices, 4 hyperedges:")
-print(hg.incidence)
-print("row sums:", hg.incidence.sum(axis=1), " column sums:", hg.incidence.sum(axis=0))
+h = incidence(hg)
+print(h)
+print("row sums:", h.sum(axis=1), " column sums:", h.sum(axis=0))
 print("connected:", hw.is_connected(hg))
 
 # The .hg text format round-trips through a canonical form: edges keep file

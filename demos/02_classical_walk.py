@@ -12,17 +12,23 @@ ts = hw.build_transitions(triangle)
 
 # One walk step first picks an incident hyperedge uniformly, then a vertex
 # inside it uniformly (the current vertex included, so the chain has
-# self-loops). The two half-step matrices are row-stochastic.
+# self-loops). The walk holds both half-steps per incident pair (v, e);
+# scattered into dense matrices, p_ve at row v, column e and p_ev at row e,
+# column v, they are row-stochastic.
+vertex_to_edge = np.zeros((ts.n, ts.m))
+vertex_to_edge[triangle.pair_v, triangle.pair_e] = ts.p_ve
+edge_to_vertex = np.zeros((ts.m, ts.n))
+edge_to_vertex[triangle.pair_e, triangle.pair_v] = ts.p_ev
 print("vertex -> edge matrix:")
-print(ts.vertex_to_edge)
+print(vertex_to_edge)
 print("edge -> vertex matrix:")
-print(ts.edge_to_vertex)
-print("row sums:", ts.vertex_to_edge.sum(axis=1), ts.edge_to_vertex.sum(axis=1))
+print(edge_to_vertex)
+print("row sums:", vertex_to_edge.sum(axis=1), edge_to_vertex.sum(axis=1))
 
 # Their product is the vertex chain; for a regular uniform hypergraph it is
 # symmetric, here with 1/2 on the diagonal and 1/4 off it.
 print("\nvertex chain P:")
-print(ts.vertex_chain)
+print(vertex_to_edge @ edge_to_vertex)
 
 # Push a point mass through a few steps.
 dist = hw.Distribution(np.array([1.0, 0.0, 0.0]))

@@ -3,8 +3,6 @@
 One step goes vertex -> hyperedge -> vertex: from a vertex, pick an incident
 hyperedge uniformly, then a destination vertex inside it uniformly. Both
 half-steps are held per incident pair (v, e): p_ve = 1/d(v), p_ev = 1/|e|.
-The one-sided matrices D_v^-1 H and D_e^-1 H^T and their round-trip
-products, the vertex chain and the dual edge chain, are views of these.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HyperwalkError
-from .hypergraph import Hypergraph, degree_profile, scatter
+from .hypergraph import Hypergraph, degree_profile
 
 # Hard bound is loose (1e-9): marginals of long evolutions legitimately
 # drift past the 1e-12 a freshly built distribution satisfies.
@@ -24,12 +22,7 @@ _DIST_SUM_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class TransitionSystem:
-    """p_ve[i] = 1/d(v) and p_ev[i] = 1/|e| at the hypergraph's i-th pair (v, e).
-
-    The stochastic matrices are dense views built on access: vertex_to_edge
-    is n x m, edge_to_vertex is m x n, vertex_chain is their n x n product
-    and edge_chain the m x m product in the other order.
-    """
+    """p_ve[i] = 1/d(v) and p_ev[i] = 1/|e| at the hypergraph's i-th pair (v, e)."""
 
     hypergraph: Hypergraph
     p_ve: np.ndarray
@@ -42,22 +35,6 @@ class TransitionSystem:
     @property
     def m(self) -> int:
         return self.hypergraph.m
-
-    @property
-    def vertex_to_edge(self) -> np.ndarray:
-        return scatter((self.n, self.m), self.hypergraph.pair_v, self.hypergraph.pair_e, self.p_ve)
-
-    @property
-    def edge_to_vertex(self) -> np.ndarray:
-        return scatter((self.m, self.n), self.hypergraph.pair_e, self.hypergraph.pair_v, self.p_ev)
-
-    @property
-    def vertex_chain(self) -> np.ndarray:
-        return self.vertex_to_edge @ self.edge_to_vertex
-
-    @property
-    def edge_chain(self) -> np.ndarray:
-        return self.edge_to_vertex @ self.vertex_to_edge
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,9 +4,8 @@ A hypergraph here is n vertices plus m hyperedges, each a non-empty vertex
 subset, stored as its N incident (vertex, hyperedge) pairs: int64 arrays
 pair_v and pair_e sorted by (v, e), the edges of the bipartite incidence
 graph. Every later layer works from them and from their segments, computed
-once; the n-by-m incidence matrix is a view built on access. Isolated
-vertices and empty hyperedges are rejected: every transition probability
-divides by the vertex and edge degrees.
+once. Isolated vertices and empty hyperedges are rejected: every transition
+probability divides by the vertex and edge degrees.
 
 Also defined here: degree profiles, connectivity, a configuration-model
 generator for d-regular k-uniform instances, and the plain-text .hg format.
@@ -23,13 +22,6 @@ from .errors import HgSyntaxError, HyperwalkError
 
 GENERATOR_RETRY_BUDGET = 1000
 _REPAIR_PASSES = 200
-
-
-def scatter(shape: tuple[int, int], rows, cols, values) -> np.ndarray:
-    """Dense matrix of the given shape holding values at (rows, cols), zero elsewhere."""
-    out = np.zeros(shape, dtype=np.result_type(values))
-    out[rows, cols] = values
-    return out
 
 
 def _first_absent(index: np.ndarray, count: int) -> int | None:
@@ -59,10 +51,15 @@ class Hypergraph:
     pair_e: np.ndarray
 
     def __post_init__(self):
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in (self.n, self.m)):
+            raise HyperwalkError(f"n and m must be integers, got {self.n!r} and {self.m!r}")
         if self.n < 1 or self.m < 1:
             raise HyperwalkError("hypergraph needs at least one vertex and one hyperedge")
-        pair_v = np.asarray(self.pair_v, dtype=np.int64)
-        pair_e = np.asarray(self.pair_e, dtype=np.int64)
+        pair_v = np.asarray(self.pair_v)
+        pair_e = np.asarray(self.pair_e)
+        if any(arr.size and arr.dtype.kind not in "iu" for arr in (pair_v, pair_e)):
+            raise HyperwalkError(f"pair entries must be integers, got {pair_v.dtype} and {pair_e.dtype}")
+        pair_v, pair_e = pair_v.astype(np.int64, copy=False), pair_e.astype(np.int64, copy=False)
         if pair_v.ndim != 1 or pair_v.shape != pair_e.shape:
             raise HyperwalkError("pair_v and pair_e must be flat arrays of equal length")
         bad = np.flatnonzero((pair_v < 0) | (pair_v >= self.n) | (pair_e < 0) | (pair_e >= self.m))
@@ -109,13 +106,6 @@ class Hypergraph:
             sides.append((groups, np.argsort(by_length)[ids]))
         return tuple(sides)
 
-    @property
-    def incidence(self) -> np.ndarray:
-        """Read-only dense n x m 0/1 matrix, built on each access."""
-        h = scatter((self.n, self.m), self.pair_v, self.pair_e, 1)
-        h.setflags(write=False)
-        return h
-
     def edge_sets(self) -> list[list[int]]:
         """Vertex indices of each hyperedge, sorted ascending, in edge order."""
         _, edge_order, edge_starts = self.segments
@@ -145,9 +135,9 @@ class DegreeProfile:
 
 
 def from_edge_lists(n: int, edges) -> Hypergraph:
-    """Build a hypergraph on n vertices from an ordered collection of vertex sets."""
-    edges = [[int(v) for v in edge] for edge in edges]
-    pair_v = np.array([v for edge in edges for v in edge], dtype=np.int64)
+    """Build a hypergraph on n vertices from an ordered collection of vertex sets of integers."""
+    edges = [list(edge) for edge in edges]
+    pair_v = np.array([v for edge in edges for v in edge])
     pair_e = np.repeat(np.arange(len(edges)), [len(edge) for edge in edges])
     return Hypergraph(n, len(edges), pair_v, pair_e)
 

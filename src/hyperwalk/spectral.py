@@ -55,7 +55,7 @@ import numpy as np
 
 from .classical import TransitionSystem, build_transitions
 from .errors import HyperwalkError
-from .hypergraph import Hypergraph, component_count, component_labels, degree_profile, read_integers, scatter
+from .hypergraph import Hypergraph, component_count, component_labels, degree_profile, read_integers
 from .operators import WalkOperator, build_walk, walk_action
 
 DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
@@ -242,6 +242,13 @@ class SpectralReport:
             layout = ",".join([_ENTRY_TEMPLATES[key]] * len(entries)) % tuple(flat)
             text = text.replace(f'"@{key}@"', f"[{layout}\n  ]")
         return text
+
+
+def scatter(shape: tuple[int, int], rows, cols, values) -> np.ndarray:
+    """Dense matrix of the given shape holding values at (rows, cols), zero elsewhere."""
+    out = np.zeros(shape, dtype=np.result_type(values))
+    out[rows, cols] = values
+    return out
 
 
 def discriminant(ts: TransitionSystem) -> np.ndarray:

@@ -119,6 +119,18 @@ def pipeline(hg):
     return ts, hw.build_walk(ts)
 
 
+def incidence(hg, weights=1) -> np.ndarray:
+    """Dense n x m view of the pairs: weights at row v_p, column e_p, zero elsewhere."""
+    h = np.zeros((hg.n, hg.m), dtype=np.result_type(weights))
+    h[hg.pair_v, hg.pair_e] = weights
+    return h
+
+
+def half_steps(ts) -> tuple[np.ndarray, np.ndarray]:
+    """Dense views of the two half-steps: n x m p_ve and m x n p_ev."""
+    return incidence(ts.hypergraph, ts.p_ve), incidence(ts.hypergraph, ts.p_ev).T
+
+
 def vertex_isometry(walk) -> np.ndarray:
     """Dense N x n view of A: sqrt(p_ve) at row p, column v_p."""
     a = np.zeros((walk.size, walk.hypergraph.n))

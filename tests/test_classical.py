@@ -4,12 +4,23 @@ import numpy as np
 import pytest
 
 import hyperwalk as hw
-from conftest import battery, hub_and_rim, mixed_lengths, random_instances, single_edge, six_by_four, star, triangle
+from conftest import (
+    battery,
+    half_steps,
+    hub_and_rim,
+    incidence,
+    mixed_lengths,
+    random_instances,
+    single_edge,
+    six_by_four,
+    star,
+    triangle,
+)
 
 
 def scalar_vertex_chain(hg):
     """Independent oracle: entrywise sum over shared hyperedges."""
-    h = hg.incidence
+    h = incidence(hg)
     d = h.sum(axis=1)
     delta = h.sum(axis=0)
     p = np.zeros((hg.n, hg.n))
@@ -22,56 +33,58 @@ def scalar_vertex_chain(hg):
 
 
 def test_single_edge_transitions():
-    ts = hw.build_transitions(single_edge())
-    np.testing.assert_array_equal(ts.vertex_to_edge, [[1.0], [1.0], [1.0]])
-    np.testing.assert_allclose(ts.edge_to_vertex, [[1 / 3, 1 / 3, 1 / 3]])
-    np.testing.assert_allclose(ts.vertex_chain, np.full((3, 3), 1 / 3))
-    np.testing.assert_allclose(ts.edge_chain, [[1.0]])
+    vertex_to_edge, edge_to_vertex = half_steps(hw.build_transitions(single_edge()))
+    np.testing.assert_array_equal(vertex_to_edge, [[1.0], [1.0], [1.0]])
+    np.testing.assert_allclose(edge_to_vertex, [[1 / 3, 1 / 3, 1 / 3]])
+    np.testing.assert_allclose(vertex_to_edge @ edge_to_vertex, np.full((3, 3), 1 / 3))
+    np.testing.assert_allclose(edge_to_vertex @ vertex_to_edge, [[1.0]])
 
 
 def test_triangle_vertex_chain():
-    ts = hw.build_transitions(triangle())
+    vertex_to_edge, edge_to_vertex = half_steps(hw.build_transitions(triangle()))
     expected = np.full((3, 3), 0.25)
     np.fill_diagonal(expected, 0.5)
-    np.testing.assert_allclose(ts.vertex_chain, expected, atol=1e-15)
+    np.testing.assert_allclose(vertex_to_edge @ edge_to_vertex, expected, atol=1e-15)
     # regular uniform: the chain is the incidence Gram matrix over d*k
-    h = triangle().incidence
-    np.testing.assert_allclose(ts.vertex_chain, h @ h.T / 4.0, atol=1e-15)
+    h = incidence(triangle())
+    np.testing.assert_allclose(vertex_to_edge @ edge_to_vertex, h @ h.T / 4.0, atol=1e-15)
 
 
 def test_rows_are_stochastic():
     for hg in battery():
-        ts = hw.build_transitions(hg)
-        for mat in (ts.vertex_to_edge, ts.edge_to_vertex, ts.vertex_chain, ts.edge_chain):
+        vertex_to_edge, edge_to_vertex = half_steps(hw.build_transitions(hg))
+        chains = (vertex_to_edge @ edge_to_vertex, edge_to_vertex @ vertex_to_edge)
+        for mat in (vertex_to_edge, edge_to_vertex, *chains):
             assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-12
             assert mat.min() >= 0.0
 
 
 def test_matrix_chain_matches_scalar_formula():
     for hg in [single_edge(), triangle(), six_by_four()] + random_instances(8, seed=21):
-        ts = hw.build_transitions(hg)
-        assert np.abs(ts.vertex_chain - scalar_vertex_chain(hg)).max() <= 1e-14
+        vertex_to_edge, edge_to_vertex = half_steps(hw.build_transitions(hg))
+        assert np.abs(vertex_to_edge @ edge_to_vertex - scalar_vertex_chain(hg)).max() <= 1e-14
 
 
 def test_support_pattern_is_shared_hyperedge_relation():
     for hg in battery():
-        ts = hw.build_transitions(hg)
-        h = hg.incidence
+        vertex_to_edge, edge_to_vertex = half_steps(hw.build_transitions(hg))
+        h = incidence(hg)
         shares = (h @ h.T) > 0
-        np.testing.assert_array_equal(ts.vertex_chain > 0, shares)
+        np.testing.assert_array_equal(vertex_to_edge @ edge_to_vertex > 0, shares)
 
 
 def test_vertex_chain_symmetric_for_regular_uniform():
     for hg in random_instances(10, seed=22):
-        ts = hw.build_transitions(hg)
-        assert np.abs(ts.vertex_chain - ts.vertex_chain.T).max() <= 1e-14
+        vertex_to_edge, edge_to_vertex = half_steps(hw.build_transitions(hg))
+        chain = vertex_to_edge @ edge_to_vertex
+        assert np.abs(chain - chain.T).max() <= 1e-14
 
 
 def test_transition_support_matches_incidence():
     for hg in battery():
-        ts = hw.build_transitions(hg)
-        np.testing.assert_array_equal(ts.vertex_to_edge > 0, hg.incidence > 0)
-        np.testing.assert_array_equal(ts.edge_to_vertex > 0, hg.incidence.T > 0)
+        vertex_to_edge, edge_to_vertex = half_steps(hw.build_transitions(hg))
+        np.testing.assert_array_equal(vertex_to_edge > 0, incidence(hg) > 0)
+        np.testing.assert_array_equal(edge_to_vertex > 0, incidence(hg).T > 0)
 
 
 def test_stationary_distribution_uniform_cases():
@@ -99,7 +112,8 @@ def test_stationary_distribution_closed_form_irregular():
     ts = hw.build_transitions(hw.from_edge_lists(4, [{0, 1, 2}, {2, 3}, {0, 3}]))
     pi = hw.stationary_distribution(ts, "vertex").probabilities
     np.testing.assert_allclose(pi, [2 / 7, 1 / 7, 2 / 7, 2 / 7], atol=1e-12)
-    chain = ts.vertex_chain
+    vertex_to_edge, edge_to_vertex = half_steps(ts)
+    chain = vertex_to_edge @ edge_to_vertex
     x = np.full(4, 0.25)
     for _ in range(1000):
         x = x @ chain
@@ -109,7 +123,8 @@ def test_stationary_distribution_closed_form_irregular():
     ts = hw.build_transitions(hw.from_edge_lists(5, [{0, 1}, {1, 2}, {0, 2}, {3, 4}]))
     pi = hw.stationary_distribution(ts, "vertex").probabilities
     np.testing.assert_allclose(pi, [0.25, 0.25, 0.25, 0.125, 0.125], atol=1e-12)
-    np.testing.assert_allclose(pi @ ts.vertex_chain, pi, atol=1e-12)
+    vertex_to_edge, edge_to_vertex = half_steps(ts)
+    np.testing.assert_allclose(pi @ (vertex_to_edge @ edge_to_vertex), pi, atol=1e-12)
 
 
 def test_stationary_distribution_rejects_unknown_chain():
@@ -160,7 +175,7 @@ def test_trajectory_zero_steps():
 
 def test_trajectory_shape_and_support():
     ts = hw.build_transitions(six_by_four())
-    h = six_by_four().incidence
+    h = incidence(six_by_four())
     path = hw.sample_trajectory(ts, 0, 50, seed=8)
     assert len(path) == 101
     for i in range(50):
@@ -189,8 +204,9 @@ def test_trajectory_visit_frequencies_near_stationary():
 def dense_reference_trajectory(ts, start_vertex, steps, seed):
     """The trajectory drawn from row cumsums of the dense stochastic matrices."""
     rng = np.random.default_rng(seed)
-    cum_ve = np.cumsum(ts.vertex_to_edge, axis=1)
-    cum_ev = np.cumsum(ts.edge_to_vertex, axis=1)
+    vertex_to_edge, edge_to_vertex = half_steps(ts)
+    cum_ve = np.cumsum(vertex_to_edge, axis=1)
+    cum_ev = np.cumsum(edge_to_vertex, axis=1)
     draws = rng.random(2 * steps)
     path = [start_vertex]
     v = start_vertex
@@ -233,3 +249,21 @@ def test_trajectory_matches_dense_reference():
             assert hw.sample_trajectory(ts, start, 300, seed=seed) == dense_reference_trajectory(
                 ts, start, 300, seed
             )
+
+
+def test_trajectory_draw_on_a_running_sum_takes_the_next_pair():
+    """A draw equal to a segment's running sum picks the pair after it, on both sides.
+    With x and y the seed's two draws, vertex 1's weights x/2, x/2, 1 - x and hyperedge 2's
+    y/2, y/2, 1 - y reach exactly x and y at their second pair, since halving is exact. The
+    two segments start at pairs 1 and 3 of 7, so running sums that carry the weights of
+    earlier segments, such as differences of one cumsum over all pairs, miss x or y by an
+    ulp for some seeds, and bisect_right then stops at the second pair."""
+    hg = hw.from_edge_lists(4, [{0, 1}, {1, 2}, {1, 2, 3}])
+    assert list(zip(hg.pair_v.tolist(), hg.pair_e.tolist())) == [(0, 0), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (3, 2)]
+    for seed in range(8):
+        x, y = np.random.default_rng(seed).random(2)
+        p_ve = np.array([1.0, x / 2, x / 2, 1 - x, 0.5, 0.5, 1.0])
+        p_ev = np.array([0.5, 0.5, 0.5, y / 2, 0.5, y / 2, 1 - y])
+        ts = hw.TransitionSystem(hypergraph=hg, p_ve=p_ve, p_ev=p_ev)
+        assert hw.sample_trajectory(ts, 1, 1, seed=seed) == [1, 2, 3]
+        assert dense_reference_trajectory(ts, 1, 1, seed) == [1, 2, 3]

@@ -6,6 +6,7 @@ import pytest
 import hyperwalk as hw
 from conftest import (
     FIG1_PARAMS,
+    incidence,
     pipeline,
     random_instances,
     random_state,
@@ -21,7 +22,7 @@ from hyperwalk.hypergraph import component_count, component_labels
 def test_single_edge_incidence():
     hg = single_edge()
     assert hg.n == 3 and hg.m == 1
-    np.testing.assert_array_equal(hg.incidence, [[1], [1], [1]])
+    np.testing.assert_array_equal(incidence(hg), [[1], [1], [1]])
 
 
 def test_triangle_incidence_matches_direct_construction():
@@ -30,8 +31,8 @@ def test_triangle_incidence_matches_direct_construction():
     for j, edge in enumerate(edges):
         expected[sorted(edge), j] = 1
     hg = hw.from_edge_lists(3, edges)
-    np.testing.assert_array_equal(hg.incidence, expected)
-    np.testing.assert_array_equal(hg.incidence, [[1, 0, 1], [1, 1, 0], [0, 1, 1]])
+    np.testing.assert_array_equal(incidence(hg), expected)
+    np.testing.assert_array_equal(incidence(hg), [[1, 0, 1], [1, 1, 0], [0, 1, 1]])
 
 
 def test_six_by_four_matches_stated_parameters():
@@ -43,11 +44,12 @@ def test_six_by_four_matches_stated_parameters():
 
 
 def test_incidence_is_immutable():
+    """The incidence lists are read-only."""
     hg = triangle()
     with pytest.raises(ValueError):
-        hg.incidence[0, 0] = 0
-    with pytest.raises(ValueError):
         hg.pair_v[0] = 1
+    with pytest.raises(ValueError):
+        hg.pair_e[0] = 1
 
 
 def test_from_edge_lists_rejects_empty_edge():
@@ -120,7 +122,7 @@ def test_bipartite_single_edge_layout():
 def test_bipartite_structure_properties():
     for hg in [triangle(), six_by_four()] + random_instances(8, seed=6):
         profile = hw.degree_profile(hg)
-        rows, cols = np.nonzero(hg.incidence)
+        rows, cols = np.nonzero(incidence(hg))
         np.testing.assert_array_equal(hg.pair_v, rows)
         np.testing.assert_array_equal(hg.pair_e, cols)
         assert hg.pair_v.dtype == hg.pair_e.dtype == np.int64
@@ -147,23 +149,57 @@ def test_constructor_sorts_and_validates_pairs():
         hw.Hypergraph(10**15, 1, [0, 1], [0, 0])
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: hw.Hypergraph(2, 1, [0.7, 1.9], [0.2, 0.0]), id="float-pairs"),
+        pytest.param(lambda: hw.Hypergraph(2, 1, [0, 1], np.array([0.0, 0.0])), id="float-edge-column"),
+        pytest.param(lambda: hw.Hypergraph(2, 1, ["0", "1"], [0, 0]), id="str-pairs"),
+        pytest.param(lambda: hw.Hypergraph(2, 1, [True, False], [0, 0]), id="bool-pairs"),
+        pytest.param(lambda: hw.Hypergraph(2.0, 1, [0, 1], [0, 0]), id="float-n"),
+        pytest.param(lambda: hw.Hypergraph(2, np.float64(1), [0, 1], [0, 0]), id="numpy-float-m"),
+        pytest.param(lambda: hw.Hypergraph(True, 1, [0], [0]), id="bool-n"),
+        pytest.param(lambda: hw.from_edge_lists(2, [{0.7, 1.2}]), id="float-members"),
+        pytest.param(lambda: hw.from_edge_lists(2, [["0", "1"]]), id="str-members"),
+        pytest.param(lambda: hw.from_edge_lists(2, [[0, 1.0]]), id="one-float-member"),
+        pytest.param(lambda: hw.from_edge_lists(2.0, [[0, 1]]), id="float-n-from-edge-lists"),
+    ],
+)
+def test_non_integers_are_rejected(build):
+    """Nothing is truncated to an integer, so serialize never writes a count that parse rejects."""
+    with pytest.raises(hw.HyperwalkError, match="must be integers"):
+        build()
+
+
+def test_python_and_numpy_integers_are_accepted():
+    hg = hw.Hypergraph(np.int32(2), np.uint8(1), np.array([1, 0], dtype=np.uint16), np.zeros(2, dtype=np.int8))
+    assert hg.pair_v.tolist() == [0, 1] and hg.pair_e.tolist() == [0, 0]
+    assert hw.serialize(hg) == "n 2\n0 1\n"
+    assert hw.serialize(hw.from_edge_lists(2, [[np.int64(1), 0]])) == "n 2\n0 1\n"
+    # An empty pair list still fails on its empty hyperedge, whatever its dtype.
+    with pytest.raises(hw.HyperwalkError, match="hyperedge 0 contains no vertices"):
+        hw.Hypergraph(2, 1, [], [])
+    with pytest.raises(hw.HyperwalkError, match="hyperedge 0 contains no vertices"):
+        hw.from_edge_lists(2, [set()])
+
+
 def test_generator_hits_requested_degrees():
     hg = hw.random_regular_uniform(6, 4, 3, 2, seed=11)
-    np.testing.assert_array_equal(hg.incidence.sum(axis=1), np.full(6, 2))
-    np.testing.assert_array_equal(hg.incidence.sum(axis=0), np.full(4, 3))
+    np.testing.assert_array_equal(incidence(hg).sum(axis=1), np.full(6, 2))
+    np.testing.assert_array_equal(incidence(hg).sum(axis=0), np.full(4, 3))
 
 
 def test_generator_is_deterministic_per_seed():
     a = hw.random_regular_uniform(12, 8, 3, 2, seed=99)
     b = hw.random_regular_uniform(12, 8, 3, 2, seed=99)
-    np.testing.assert_array_equal(a.incidence, b.incidence)
+    np.testing.assert_array_equal(incidence(a), incidence(b))
     c = hw.random_regular_uniform(12, 8, 3, 2, seed=100)
-    assert not np.array_equal(a.incidence, c.incidence)
+    assert not np.array_equal(incidence(a), incidence(c))
 
 
 def test_generator_forced_single_edge():
     hg = hw.random_regular_uniform(3, 1, 3, 1, seed=42)
-    np.testing.assert_array_equal(hg.incidence, [[1], [1], [1]])
+    np.testing.assert_array_equal(incidence(hg), [[1], [1], [1]])
 
 
 def test_generator_rejects_infeasible_parameters():
@@ -191,13 +227,13 @@ def test_generator_handles_dense_degree_corner():
 
 def test_parse_single_edge():
     hg = hw.parse("# demo\nn 3\n0 1 2\n")
-    np.testing.assert_array_equal(hg.incidence, [[1], [1], [1]])
+    np.testing.assert_array_equal(incidence(hg), [[1], [1], [1]])
 
 
 def test_parse_skips_comments_and_blanks():
     text = "# header comment\n\nn 3\n# between edges\n0 1\n\n1 2\n0 2\n"
     hg = hw.parse(text)
-    np.testing.assert_array_equal(hg.incidence, triangle().incidence)
+    np.testing.assert_array_equal(incidence(hg), incidence(triangle()))
 
 
 def test_parse_duplicate_vertex_reports_line():
@@ -252,7 +288,7 @@ def test_round_trip_random_instances():
     for hg in random_instances(10, seed=7):
         text = hw.serialize(hg)
         again = hw.parse(text)
-        np.testing.assert_array_equal(again.incidence, hg.incidence)
+        np.testing.assert_array_equal(incidence(again), incidence(hg))
         assert hw.serialize(again) == text
 
 

@@ -9,6 +9,7 @@ from conftest import (
     battery,
     dense_walk,
     edge_isometry,
+    half_steps,
     hub_and_rim,
     mixed_lengths,
     pipeline,
@@ -87,7 +88,8 @@ def test_isometry_columns_have_local_support():
 def test_isometry_product_equals_entrywise_discriminant():
     for hg in battery():
         ts, walk = pipeline(hg)
-        direct = np.sqrt(ts.vertex_to_edge * ts.edge_to_vertex.T)
+        vertex_to_edge, edge_to_vertex = half_steps(ts)
+        direct = np.sqrt(vertex_to_edge * edge_to_vertex.T)
         product = vertex_isometry(walk).T @ edge_isometry(walk)
         assert np.abs(product - direct).max() <= 1e-14
 
