@@ -5,9 +5,9 @@ two-step classical walk (vertex -> hyperedge -> vertex); quantizing it on
 those pairs gives a two-reflection walk operator whose eigensystem is
 fully determined by the singular value decomposition of the discriminant
 matrix sqrt(p_ve * p_ev). This package builds every piece and verifies the
-predicted eigensystem against the walk's eigenvalues, found without the SVD
-from symmetric eigenvalue problems per connected component (the derivation
-is in spectral.brute_force_spectrum).
+predicted eigensystem against the walk's eigenvalues, found without the
+discriminant's SVD from one or two small triangular factors per connected
+component (the derivation is in spectral.brute_force_spectrum).
 """
 
 from .classical import (

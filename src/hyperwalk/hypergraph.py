@@ -41,6 +41,21 @@ def read_integers(tokens: list[str]) -> list[int] | None:
         return None
 
 
+def _pair_ids(values) -> np.ndarray:
+    """values as an int64 array, or HyperwalkError naming the first entry that is no int64 integer."""
+    try:
+        ids = np.asarray(values)
+    except ValueError:  # ragged: a sequence among the entries
+        ids = np.asarray(values, dtype=object)
+    if ids.dtype.kind == "i" or (ids.dtype.kind == "u" and ids.max(initial=0) < 2**63):
+        return ids.astype(np.int64, copy=False)
+    # numpy holds big Python ints as objects, floats or unsigned: each is read back as given.
+    for x in (ids if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)).flat:
+        if not (isinstance(x, (int, np.integer)) and not isinstance(x, bool) and -(2**63) <= x < 2**63):
+            raise HyperwalkError(f"pair entries must be integers within int64, got {x!r}")
+    return ids.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Hypergraph:
     """Immutable hypergraph: n, m and the incident pairs, validated, read-only, sorted by (v, e)."""
@@ -55,11 +70,7 @@ class Hypergraph:
             raise HyperwalkError(f"n and m must be integers, got {self.n!r} and {self.m!r}")
         if self.n < 1 or self.m < 1:
             raise HyperwalkError("hypergraph needs at least one vertex and one hyperedge")
-        pair_v = np.asarray(self.pair_v)
-        pair_e = np.asarray(self.pair_e)
-        if any(arr.size and arr.dtype.kind not in "iu" for arr in (pair_v, pair_e)):
-            raise HyperwalkError(f"pair entries must be integers, got {pair_v.dtype} and {pair_e.dtype}")
-        pair_v, pair_e = pair_v.astype(np.int64, copy=False), pair_e.astype(np.int64, copy=False)
+        pair_v, pair_e = _pair_ids(self.pair_v), _pair_ids(self.pair_e)
         if pair_v.ndim != 1 or pair_v.shape != pair_e.shape:
             raise HyperwalkError("pair_v and pair_e must be flat arrays of equal length")
         bad = np.flatnonzero((pair_v < 0) | (pair_v >= self.n) | (pair_e < 0) | (pair_e >= self.m))
@@ -136,8 +147,11 @@ class DegreeProfile:
 
 def from_edge_lists(n: int, edges) -> Hypergraph:
     """Build a hypergraph on n vertices from an ordered collection of vertex sets of integers."""
-    edges = [list(edge) for edge in edges]
-    pair_v = np.array([v for edge in edges for v in edge])
+    try:
+        edges = [list(edge) for edge in edges]
+    except TypeError as exc:  # edges, or one of them, is not iterable
+        raise HyperwalkError(f"edges must be an iterable of vertex collections: {exc}") from None
+    pair_v = [v for edge in edges for v in edge]
     pair_e = np.repeat(np.arange(len(edges)), [len(edge) for edge in edges])
     return Hypergraph(n, len(edges), pair_v, pair_e)
 

@@ -34,14 +34,15 @@ by construction, however rounding left them; only the null tags are read
 against a tolerance.
 
 Multiplicities total N. Verification pairs the predicted multiset against
-eigenvalues computed independently of the SVD and of walk_action, one block
-per connected component scattered from its pairs, and checks every
-predicted eigenvector's walk_action residual, walking each real column A mu,
-B nu and cycle once, in blocks built and dropped in turn (see residuals).
+eigenvalues computed independently of the discriminant's SVD and of
+walk_action, one block per connected component scattered from its pairs,
+and checks every predicted eigenvector's walk_action residual, walking each
+real column A mu, B nu and cycle once, in blocks built and dropped in turn
+(see residuals).
 
-The oracle reads the walk's eigenphases from symmetric eigenproblems, one
-or two per component, of order at most twice the component's smaller side;
-brute_force_spectrum holds the derivation.
+The oracle reads the walk's eigenphases from the singular values of one or
+two triangular factors per component, each at most s_i x s_i with s_i the
+component's smaller side; brute_force_spectrum holds the derivation.
 """
 
 from __future__ import annotations
@@ -67,8 +68,9 @@ _GROUP_TOL = 1e-9
 _ANGLE_SEAM = 1e-7
 _RESIDUAL_BLOCK = 32  # singular indices and cycles per residual block, walked as N x 96 real columns
 _ISOMETRY_TOL = 1e-12  # on each vertex's and each hyperedge's sum of squared weights
-# The oracle reads a component's phases from Y' alone while every cos(phi / 2) is at least
-# this, so 2 arcsin|y| errs by at most 2 delta / 0.03, delta being eigvalsh's absolute error.
+# The oracle reads a component's phases from the singular values of R alone while every
+# cos(phi / 2) is at least this, so 2 arcsin errs by at most 2 delta / 0.03, delta being the
+# SVD's absolute error.
 _ARCSIN_MIN_COS = 0.03
 # How json.dumps(indent=2) lays out one entry of each long list of a report.
 _ENTRY_TEMPLATES = {
@@ -386,57 +388,58 @@ def dense_cap() -> int:
 
 
 def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
-    """Independent oracle: the walk's eigenvalues from one symmetric solve per component, or two.
+    """Independent oracle: the walk's eigenvalues from the singular values of
+    one triangular factor per component, or two.
 
     W only mixes pairs that share a vertex or a hyperedge, so with its pairs
-    grouped by connected component it is exactly a permutation of
-    diag(W_1, ..., W_c), whose eigenvalues are the blocks' together. Each
-    block is renumbered in (v, e) order so the weights stay aligned, built
-    once every hyperedge's pairs carry one label.
+    grouped by connected component it is a permutation of diag(W_1, ..., W_c),
+    whose eigenvalues are the blocks' together. Each block is renumbered in
+    (v, e) order so the weights stay aligned, once every hyperedge's pairs
+    carry one label.
 
     With P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A.
-    Per block, eigvalsh of Y = P_B - P_A and X = P_A + P_B - I give
+    Per block, the eigenvalues of Y = P_B - P_A and X = P_A + P_B - I give
     |sin(phi / 2)| and |cos(phi / 2)| over the eigenphases phi, because
     I - W = 2 R_B Y and I + W = 2 R_B X with R_B orthogonal, and W is normal.
-    Sorted, both rank |phi| alike. Every rank is read from Y as
-    phi = 2 arcsin|y|. By Weyl's bound eigvalsh gives each y within an
-    absolute delta of a few eps ||Y||, with ||Y|| <= 1 (Golub & Van Loan,
-    8.1), and d phi / dy = 2 / cos(phi / 2), so phi errs by at most
-    2 delta / cos(phi / 2): Y alone is accurate while every cos(phi / 2) of
-    the block is at least 0.03, and puts a phase at pi off by about
-    sqrt(eps). A block with some cos(phi / 2) < 0.03, that is a largest
-    |y| above sqrt(1 - 0.03^2), which a null sigma always gives, solves X as
-    well and reads its ranks beyond pi/2 as 2 arccos|x|, where arccos is
-    well conditioned. W is real, so its non-real eigenvalues are conjugate
-    pairs, adjacent in rank; the signs alternate along the ranks, giving
-    each pair one of each.
 
-    An orthogonal basis change compresses Y and X onto the range of [A B].
     Let L be the isometry of the larger side (A when n_i >= m_i, else B),
     with l columns, and S the other, with s <= l. One Householder reflector
-    per segment of L maps that segment's unit column to the unit vector at
-    its first pair, up to sign, so H L is those l unit vectors, and the rows
-    of H S at the first pairs are D = L^T S, up to their signs (a diagonal
-    similarity that changes no eigenvalue). The other N_i - l rows of H S
-    have a Householder QR with an upper triangular R of k = min(N_i - l, s)
-    rows, and D = Q_D [R1; 0] has one with an s x s R1 (Golub & Van Loan,
-    Matrix Computations, 5.2). Q_D acts only on the first pairs, where P_L
-    is the identity, so in the basis Q made of both QRs' reflectors, H and
-    the first pairs, Q^T P_L Q = diag(0, I_s, I_{l-s}) and
-    Q^T P_S Q = M M^T with M = [R; R1; 0], padded with zeros to order N_i.
-    So, of order q_i = k + s, Y' = M M^T - diag(0, I_s) (up to sign) and
-    X' = M M^T - diag(I_k, 0) hold every phase but N_i - q_i. On the
-    l - s = |n_i - m_i| rows that R1 zeroes, P_S = 0 and P_L = 1, so Y = -1
-    and X = 0: those phases are exactly pi, the larger side's unpaired
-    directions. On the other N_i - k - l, both projectors vanish, Y = 0 and
-    X = -I: those phases are exactly 0. Q holds the range of [A B] whatever
-    its rank, so nothing is assumed of the rank, of the cycle space or of
-    how the weights vary within a segment. X', when it is needed, is built
-    over Y''s buffer; no N x N array is made.
+    per segment of L maps its unit column to the unit vector at its first
+    pair, up to sign; the rows of H S there are D = L^T S, up to signs that
+    change no singular value. The other N_i - l rows of H S have a QR with
+    an upper triangular R of k = min(N_i - l, s) rows, and D one with an
+    s x s R1 (Golub & Van Loan, Matrix Computations, 5.2), whose reflectors
+    act only on the first pairs, where P_L is the identity. So in the basis
+    of H, both QRs and the first pairs, P_L = diag(0, I_s, I_{l-s}) and
+    P_S = M M^T with M = [R; R1; 0], padded with zeros to order N_i. On the
+    l - s = |n_i - m_i| rows that R1 zeroes, Y = -1: phases exactly pi, the
+    larger side's unpaired directions. On the other N_i - k - l both
+    projectors vanish and Y = 0: phases exactly 0. None of this assumes a
+    rank of [A B], a cycle space or constant weights within a segment.
 
-    The identities need A and B to be isometries, so each vertex's and each
-    hyperedge's squared weights must sum to 1 within 1e-12. Otherwise
-    HyperwalkError is raised, as it is when N exceeds the dense cap.
+    The rest, Y' = M M^T - diag(0, I_s) (Y up to sign) and
+    X' = M M^T - diag(I_k, 0), is never formed. M has orthonormal columns,
+    so by the CS decomposition (Paige & Wei, 1994) R = U_1 diag(sin t) V^T
+    and R1 = U_2 diag(cos t) V^T over s angles t. On each pair of columns of
+    U_1 and U_2, Y' has eigenvalues +/- sin t and X' +/- cos t, so
+    sigma(R) = sin(phi / 2) and sigma(R1) = cos(phi / 2), each for a
+    conjugate pair +/- phi. R has k rows, so s - k angles have sin t = 0,
+    each one eigenvalue 0 of Y': a phase 0.
+
+    Each computed singular value errs by a few eps ||R|| <= a few eps
+    (Golub & Van Loan, 8.6), and d phi / d sin(phi / 2) = 2 / cos(phi / 2),
+    so the sines alone are accurate while every cos(phi / 2) of the block
+    is at least 0.03, and put a phase at pi off by about sqrt(eps). A block
+    with a sine above sqrt(1 - 0.03^2), as a null sigma always gives, takes
+    R1 too and reads its phases beyond pi/2 as 2 arccos sigma(R1), well
+    conditioned there: ascending sines rank phi as descending cosines do,
+    once the s - k largest cosines, the angles R lacks, are dropped. W is
+    real, so its non-real eigenvalues are conjugate pairs, adjacent in rank;
+    the signs alternate along the ranks, giving each pair one of each.
+
+    A and B must be isometries: each vertex's and each hyperedge's squared
+    weights sum to 1 within 1e-12, or HyperwalkError is raised, as it is
+    when N exceeds the dense cap.
     """
     cap = dense_cap()
     if walk.size > cap:
@@ -460,8 +463,8 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
 
 
 def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
-    """Write one connected block's eigenvalues to out (see brute_force_spectrum); X', if needed,
-    is built over Y''s buffer, and every array made here is dropped before the next block is built."""
+    """Write one connected block's eigenvalues to out (see brute_force_spectrum); every array
+    made here is dropped before the next block is built."""
     hg, (vertex_starts, edge_order, edge_starts) = block.hypergraph, block.hypergraph.segments
     sides = [
         (block.vertex_weights, np.arange(block.size), vertex_starts, hg.pair_v),
@@ -475,8 +478,6 @@ def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
     (u, order, starts, group), (w, _, other_starts, other_group) = sides
     size, l, s = block.size, starts.size, other_starts.size
     k = min(size - l, s)  # R's rows
-    q = k + s
-    matrix = np.empty((q, q))  # made before the temporaries, so they do not sit below it in the heap
     # H_j = I - beta_j v_j v_j^T maps segment j's unit column of L to alpha_j at its first pair.
     first = order[starts]
     v = u.copy()
@@ -487,25 +488,18 @@ def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
     tail = scatter((l, s), group, other_group, v * w)[group[rest]]
     tail *= -(beta[group] * v)[rest, None]
     tail[np.arange(rest.size), other_group[rest]] += w[rest]
-    tail = np.linalg.qr(tail, mode="r")  # R, made before M so the two copies of H S are gone
-    r1 = np.linalg.qr(scatter((l, s), group, other_group, u * w), mode="r")  # L^T S, up to row signs
-    # M = [R; R1], S in the new basis. With L^T S itself above R, the tridiagonal reduction of
-    # a long path fills in entries that decay to subnormal numbers, and eigvalsh slows 3-6x.
-    image = np.vstack((tail, r1))
-    del tail, r1
-    np.matmul(image, image.T, out=matrix)
-    del image
-    diagonal = np.diag_indices(q)
-    matrix[diagonal] -= np.repeat([0.0, 1.0], [k, s])  # Y' = M M^T - diag(0, I), up to sign
-    sines = np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix))), 1.0)
-    solved = 2.0 * np.arcsin(sines)
-    if sines[-1] > np.sqrt(1.0 - _ARCSIN_MIN_COS**2):  # some cos(phi / 2) < _ARCSIN_MIN_COS
-        matrix[diagonal] += np.repeat([-1.0, 1.0], [k, s])  # X' = M M^T - diag(I, 0)
-        # Descending |cos(phi / 2)| is ascending |phi|, so both lists rank |phi| alike.
-        high = 2.0 * np.arccos(np.minimum(np.sort(np.abs(np.linalg.eigvalsh(matrix)))[::-1], 1.0))
-        solved = np.where(solved <= np.pi / 2, solved, high)
-    # The l - s rows of L^T S that R1 zeroes are pi; the N_i - k - l rows outside M are 0.
-    phases = np.pad(solved, (size - k - l, l - s), constant_values=(0.0, np.pi))
+    tail = np.linalg.qr(tail, mode="r")  # R
+    sines = np.minimum(np.linalg.svd(tail, compute_uv=False)[::-1], 1.0)  # sin(phi / 2), ascending
+    del tail  # before R1 is built
+    angles = 2.0 * np.arcsin(sines)
+    if sines.max(initial=0.0) > np.sqrt(1.0 - _ARCSIN_MIN_COS**2):  # some cos(phi / 2) < _ARCSIN_MIN_COS
+        r1 = np.linalg.qr(scatter((l, s), group, other_group, u * w), mode="r")  # L^T S, up to row signs
+        # Descending cosines rank phi as ascending sines do once the s - k largest, the angles R lacks, go.
+        cosines = np.minimum(np.linalg.svd(r1, compute_uv=False)[s - k :], 1.0)
+        angles = np.where(angles <= np.pi / 2, angles, 2.0 * np.arccos(cosines))
+    # Each angle is a conjugate pair. The s - k angles R lacks and the N_i - k - l rows outside
+    # [R; R1] are 0; the l - s rows of L^T S that R1 zeroes are pi.
+    phases = np.pad(np.repeat(angles, 2), (size - l + s - 2 * k, l - s), constant_values=(0.0, np.pi))
     phases[1::2] *= -1.0
     out[:] = np.exp(1j * phases)
 
@@ -581,15 +575,7 @@ def analyze(
     svd = full_svd(discriminant(ts))
     prediction = predict_spectrum(svd, walk, tol=classify_tol)
     profile = degree_profile(hg)
-    if verifiable:
-        verdict = verify(prediction, actual, tol=verify_tol)
-        verdict_label = "pass" if verdict.passed else "fail"
-        pairing = verdict.max_pairing_distance
-        residual = verdict.max_residual
-    else:
-        verdict_label = "unverified"
-        pairing = None
-        residual = None
+    verdict = verify(prediction, actual, tol=verify_tol) if verifiable else None
     return SpectralReport(
         n=hg.n,
         m=hg.m,
@@ -600,8 +586,8 @@ def analyze(
         classification=prediction.classification,
         predicted=prediction.eigenvalues,
         actual=actual,
-        max_pairing_distance=pairing,
-        max_residual=residual,
+        max_pairing_distance=verdict.max_pairing_distance if verdict else None,
+        max_residual=verdict.max_residual if verdict else None,
         deviations=prediction.notes,
-        verdict=verdict_label,
+        verdict=("pass" if verdict.passed else "fail") if verdict else "unverified",
     )

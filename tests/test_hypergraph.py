@@ -171,6 +171,24 @@ def test_non_integers_are_rejected(build):
         build()
 
 
+def test_a_sequence_among_the_members_is_rejected():
+    with pytest.raises(hw.HyperwalkError, match=r"must be integers within int64, got \[1, 2\]"):
+        hw.from_edge_lists(3, [[0, [1, 2]]])
+
+
+def test_edges_that_are_not_iterable_are_rejected():
+    with pytest.raises(hw.HyperwalkError, match="edges must be an iterable of vertex collections"):
+        hw.from_edge_lists(3, 5)
+
+
+def test_integers_beyond_int64_are_named():
+    # numpy holds 2**70 as an object and [0, 2**63] as floats; each is an integer int64 cannot hold.
+    with pytest.raises(hw.HyperwalkError, match=f"must be integers within int64, got {2**70}"):
+        hw.Hypergraph(2, 1, [0, 2**70], [0, 0])
+    with pytest.raises(hw.HyperwalkError, match=f"must be integers within int64, got {2**63}"):
+        hw.Hypergraph(2, 1, [0, 2**63], [0, 0])
+
+
 def test_python_and_numpy_integers_are_accepted():
     hg = hw.Hypergraph(np.int32(2), np.uint8(1), np.array([1, 0], dtype=np.uint16), np.zeros(2, dtype=np.int8))
     assert hg.pair_v.tolist() == [0, 1] and hg.pair_e.tolist() == [0, 0]

@@ -375,8 +375,15 @@ def barbell(clique: int, path: int) -> hw.Hypergraph:
     return hw.from_edge_lists(2 * clique + path - 1, left + bridge + right)
 
 
+def clique_with_tail(clique: int, tail: int) -> hw.Hypergraph:
+    """A complete 3-uniform hypergraph on `clique` vertices with a path of `tail` edges off its last vertex."""
+    ends = [{i, j, k} for i in range(clique) for j in range(i + 1, clique) for k in range(j + 1, clique)]
+    return hw.from_edge_lists(clique + tail, ends + [{clique - 1 + i, clique + i} for i in range(tail)])
+
+
 # One component each: the benchmark's connected shapes at N = 300, a tree
-# (no cycle space), single cycles, and a barbell with a small spectral gap.
+# (no cycle space), single cycles, a barbell with a small spectral gap, and a
+# long path hanging off a dense part.
 CONNECTED = [
     pytest.param(lambda: hw.random_regular_uniform(150, 100, 3, 2, seed=1), id="tall-N300"),
     pytest.param(lambda: hw.random_regular_uniform(100, 75, 4, 3, seed=1), id="cycles-N300"),
@@ -384,6 +391,7 @@ CONNECTED = [
     pytest.param(lambda: path(150), id="path150"),
     pytest.param(lambda: cycle(200), id="cycle200"),
     pytest.param(lambda: barbell(7, 150), id="barbell-N510"),
+    pytest.param(lambda: clique_with_tail(7, 200), id="clique7-tail200"),
     # Eigenvalues exactly at +/- i: the pi/2 seam between the oracle's two solves.
     pytest.param(lambda: cycle(8), id="cycle8"),
     pytest.param(lambda: hub_and_rim(301), id="hub-and-rim-N903"),
@@ -411,8 +419,8 @@ def component_sizes(hg) -> list[tuple[int, int, int]]:
 
 @pytest.mark.parametrize("build", DISCONNECTED + CONNECTED + NEAR_PI)
 def test_blocked_oracle_matches_dense_eigvals(build):
-    # One symmetric solve per component, or two where a phase nears pi, must give the spectrum
-    # of the whole dense matrix.
+    # The singular values of one triangular factor per component, or of two where a phase nears
+    # pi, must give the spectrum of the whole dense matrix.
     hg = build()
     _, walk = pipeline(hg)
     blocked = hw.brute_force_spectrum(walk)
@@ -447,55 +455,58 @@ def test_blocked_oracle_matches_dense_eigvals(build):
     ],
 )
 def test_oracle_solves_have_order_k_plus_the_smaller_side(build, solves, monkeypatch):
-    # Each component's solves have order min(N_i - l_i, s_i) + s_i, l_i and s_i its larger and
-    # smaller side: the l_i - s_i unpaired directions never reach eigvalsh. A component takes a
-    # second solve only when a phase nears pi, as on cycle200, null-sigma and path300.
+    # Each component's first solve takes the singular values of R, of k_i x s_i with
+    # k_i = min(N_i - l_i, s_i), l_i and s_i its larger and smaller side: the l_i - s_i unpaired
+    # directions never reach it. A component takes a second, of the s_i x s_i R1, only when a phase
+    # nears pi, as on cycle200, null-sigma and path300. No symmetric eigensolver runs.
     hg = build()
     _, walk = pipeline(hg)
-    orders, eigvalsh = [], np.linalg.eigvalsh
+    shapes, svd = [], np.linalg.svd
 
-    def recording(matrix):
-        orders.append(matrix.shape[0])
-        return eigvalsh(matrix)
+    def recording(a, compute_uv=True):
+        assert not compute_uv
+        shapes.append(a.shape)
+        return svd(a, compute_uv=False)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    def unused(*args, **kwargs):
+        raise AssertionError("eigvalsh called by the oracle")
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", unused)
     hw.brute_force_spectrum(walk)
-    expected = [min(size - max(n, m), min(n, m)) + min(n, m) for size, n, m in component_sizes(hg)]
-    assert sorted(orders) == sorted(solves * expected)
+    expected = []
+    for size, n, m in component_sizes(hg):
+        s = min(n, m)
+        expected += [(min(size - max(n, m), s), s)] + [(s, s)] * (solves - 1)
+    assert sorted(shapes) == sorted(expected)
 
 
-def clique_with_tail(clique: int, tail: int) -> hw.Hypergraph:
-    """A complete 3-uniform hypergraph on `clique` vertices with a path of `tail` edges off its last vertex."""
-    ends = [{i, j, k} for i in range(clique) for j in range(i + 1, clique) for k in range(j + 1, clique)]
-    return hw.from_edge_lists(clique + tail, ends + [{clique - 1 + i, clique + i} for i in range(tail)])
-
-
-def test_oracle_puts_the_tail_qr_above_the_first_pairs_qr(monkeypatch):
-    # M stacks R, from the QR of H S off the first pairs, above R1, from the QR of L^T S. No
-    # eigenvalue shows the order, but it sets how eigvalsh's tridiagonal reduction meets a long
-    # path (with L^T S itself above R it ran 3-6x slower on path-like shapes), so the top-left
-    # k x k block of the matrix eigvalsh receives must be R R^T.
+def test_oracle_reads_its_sines_from_the_tail_qr(monkeypatch):
+    # The first singular value solve receives R, from the QR of H S off the first pairs. Its
+    # rows' signs are the QR's choice, but R^T R = S^T (I - L L^T) S = I - D^T D with D = L^T S.
     hg = clique_with_tail(7, 200)  # N = 505 with l = m = 235, s = n = 207 and k = 207
     _, walk = pipeline(hg)
     (size, n, m), = component_sizes(hg)
     k = min(size - max(n, m), min(n, m))
-    factors, matrices = {}, []
-    qr, eigvalsh = np.linalg.qr, np.linalg.eigvalsh
+    factors, solved = {}, []
+    qr, svd = np.linalg.qr, np.linalg.svd
 
     def recording_qr(a, mode):
-        factors[a.shape[0]] = qr(a, mode=mode)  # keyed by rows: N - l off the first pairs, l on them
+        factors[a.shape[0]] = qr(a, mode=mode)  # keyed by rows: N - l off the first pairs
         return factors[a.shape[0]]
 
-    def recording_eigvalsh(matrix):
-        matrices.append(matrix.copy())  # the oracle may reuse the buffer for a second solve
-        return eigvalsh(matrix)
+    def recording_svd(a, compute_uv=True):
+        solved.append(a.copy())
+        return svd(a, compute_uv=compute_uv)
 
     monkeypatch.setattr(np.linalg, "qr", recording_qr)
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
     hw.brute_force_spectrum(walk)
-    r = factors[size - max(n, m)]
+    r = solved[0]
     assert r.shape == (k, min(n, m))
-    assert np.abs(matrices[0][:k, :k] - r @ r.T).max() <= 1e-12
+    assert np.abs(r - factors[size - max(n, m)]).max() <= 1e-12
+    d = edge_isometry(walk).T @ vertex_isometry(walk)
+    assert np.abs(r.T @ r - (np.eye(n) - d.T @ d)).max() <= 1e-12
 
 
 def test_blocked_oracle_builds_no_dense_walk_matrix():
@@ -550,18 +561,20 @@ def test_oracle_rejects_weights_that_are_not_isometries(side):
 
 def test_oracle_and_prediction_memory_budget():
     # At N = 1200 an N x N real matrix is N^2 * 8 bytes, and nothing below
-    # builds the walk matrix. The oracle stays under one and a half of those,
-    # even when one hyperedge holds every pair; the residual pass over the
-    # prediction holds one block of columns at a time, under half an N x N
-    # matrix, and the test helper's eigenvector matrix is the only N x N array
-    # it builds.
+    # builds the walk matrix. The oracle stays under one of those, even when
+    # one hyperedge holds every pair or a phase nears pi; the residual pass
+    # over the prediction holds one block of columns at a time, under half an
+    # N x N matrix, and the test helper's eigenvector matrix is the only N x N
+    # array it builds.
     hg = hw.random_regular_uniform(600, 400, 3, 2, seed=1)
     ts, walk = pipeline(hg)
     _, crowded = pipeline(hw.from_edge_lists(1200, [range(1200)]))
-    # A large cycle space: the oracle's order is min(N - n, m) + m = 600 of N = 1200.
+    # A large cycle space: R is min(N - n, m) x m = 300 x 300 of N = 1200.
     _, cyclic = pipeline(hw.random_regular_uniform(400, 300, 4, 3, seed=1))
+    # A null sigma sends the oracle to its second solve, of the 600 x 600 R1.
+    _, ring = pipeline(cycle(600))
     svd = hw.full_svd(hw.discriminant(ts))
-    for instance in (hg, crowded.hypergraph, cyclic.hypergraph):
+    for instance in (hg, crowded.hypergraph, cyclic.hypergraph, ring.hypergraph):
         instance.segments  # cached on first use, so no peak below includes it
     matrix_bytes = walk.size**2 * 8
 
@@ -573,14 +586,13 @@ def test_oracle_and_prediction_memory_budget():
         finally:
             tracemalloc.stop()
 
-    # The oracle's one matrix of order q = min(N - l, s) + s, l >= s the two sides, holds Y' and
-    # then X'; the compression's (N - l) x s, l x s and q x s temporaries are dropped before the
-    # solves. The single hyperedge has l = 1200 and s = 1, so q = 1 and only O(N) arrays remain.
-    assert traced_peak(lambda: hw.brute_force_spectrum(walk)) <= 1.5 * matrix_bytes
-    crowded_peak = traced_peak(lambda: hw.brute_force_spectrum(crowded))
-    assert crowded_peak <= 1.5 * matrix_bytes
-    assert crowded_peak <= 0.1 * matrix_bytes
-    assert traced_peak(lambda: hw.brute_force_spectrum(cyclic)) <= 1.5 * matrix_bytes
+    # The oracle's largest arrays are the (N - l) x s tail, l >= s the two sides, and its QR's
+    # copy; R, k x s with k = min(N - l, s), is dropped before the l x s scatter of L^T S and its
+    # QR, made only when a phase nears pi. The single hyperedge has l = 1200 and s = 1, so only
+    # O(N) arrays remain.
+    for instance in (walk, cyclic, ring):
+        assert traced_peak(lambda: hw.brute_force_spectrum(instance)) <= 1.0 * matrix_bytes
+    assert traced_peak(lambda: hw.brute_force_spectrum(crowded)) <= 0.1 * matrix_bytes
     assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 0.5 * matrix_bytes
     # The complex eigenvector matrix is 2 * matrix_bytes and is filled column by column.
     prediction = hw.predict_spectrum(svd, walk)
