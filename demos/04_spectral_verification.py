@@ -20,14 +20,15 @@ print(disc)
 
 svd = hw.full_svd(disc)
 print("singular values:", np.round(svd.singular_values, 12))
-# One unit singular value per connected component: the triangle has one.
-print("classification:", hw.classify_singular_values(svd.singular_values, units=1, tol=1e-9))
+# A connected hypergraph's largest singular value is its one unit value; a
+# disconnected one is classified component by component.
+print("classification:", hw.classify_singular_values(svd.singular_values, tol=1e-9))
 
 # sigma = 1 contributes one +1 eigenvalue; each interior sigma = 1/2
 # (theta = pi/3) contributes the conjugate pair exp(+/- 2*pi*i/3); the
 # one-dimensional leftover orthogonal to both subspaces is fixed.
 walk = hw.build_walk(ts)
-pred = hw.predict_spectrum(svd, walk)
+pred = hw.predict_spectrum(walk)
 print("\npredicted eigenvalues (grouped):")
 for z, count in group_eigenvalues(pred.eigenvalues):
     print(f"  {z:.6f} x {count}")

@@ -184,14 +184,9 @@ def component_labels(hg: Hypergraph) -> np.ndarray:
         root = hooked
 
 
-def component_count(hg: Hypergraph) -> int:
-    """Number of connected components of the bipartite incidence graph."""
-    return int(np.count_nonzero(component_labels(hg) == np.arange(hg.n)))
-
-
 def is_connected(hg: Hypergraph) -> bool:
     """True when the bipartite incidence graph is a single component."""
-    return component_count(hg) == 1
+    return bool((component_labels(hg) == 0).all())
 
 
 def _repair_pairing(rng, stub_v, stub_e):

@@ -23,13 +23,14 @@ orthogonal, because its eigenvectors are genuinely complex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
 from .classical import Distribution, TransitionSystem
 from .errors import HyperwalkError
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, component_labels
 
 _NORM_HARD_TOL = 1e-9
 
@@ -49,6 +50,24 @@ class WalkOperator:
     @property
     def size(self) -> int:
         return self.hypergraph.pair_v.size
+
+    @cached_property
+    def components(self) -> tuple[tuple[np.ndarray, WalkOperator], ...]:
+        """Per connected component: its pair indices and the walk on those pairs alone, in (v, e)
+        order. W only mixes pairs that share a vertex or a hyperedge, so it is a permutation of
+        diag(W_1, ..., W_c) over these blocks, once every hyperedge's pairs carry one label."""
+        hg = self.hypergraph
+        labels = component_labels(hg)[hg.pair_v]
+        _, edge_order, edge_starts = hg.segments
+        if not np.array_equal(labels[edge_order[edge_starts]][hg.pair_e], labels):
+            raise HyperwalkError("component labels split a hyperedge")
+        order = np.argsort(labels, kind="stable")
+        blocks = []
+        for pairs in np.split(order, np.flatnonzero(np.diff(labels[order])) + 1):
+            v, e = (np.unique(ids[pairs], return_inverse=True)[1] for ids in (hg.pair_v, hg.pair_e))
+            part = Hypergraph(int(v.max()) + 1, int(e.max()) + 1, v, e)
+            blocks.append((pairs, WalkOperator(part, self.vertex_weights[pairs], self.edge_weights[pairs])))
+        return tuple(blocks)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ walk's full eigensystem follows from the singular values alone:
   * the |n - m| unpaired singular vectors on the larger side: eigenvalue -1
     each (their image under the opposite projector vanishes);
   * the orthogonal complement of both reflection subspaces: eigenvalue +1,
-    with dimension N - (n + m - c).
+    with dimension N - n - m + 1 on a connected hypergraph.
 
 The complement is the cycle space of the bipartite incidence graph (pairs
 as its edges). Since sqrt(p_ve) is constant over a vertex's pairs, x is
@@ -26,19 +26,19 @@ orthogonal to the range of A exactly when its entries sum to 0 over every
 vertex's pairs, and likewise for B over every hyperedge's pairs: a signed
 cycle that steps +1 along each pair it crosses vertex -> hyperedge and -1
 along each pair it crosses hyperedge -> vertex has exactly these zero sums.
-The fundamental cycles of a breadth-first spanning forest form a basis of
-dimension N - n - m + c, with c the number of connected components. The
-discriminant is block-diagonal over the components with exactly one unit
-singular value per block, so the c largest singular values are tagged unit
-by construction, however rounding left them; only the null tags are read
-against a tolerance.
+
+The discriminant and the walk are block-diagonal over the connected
+components, so the predictor and the oracle both work one block of
+WalkOperator.components at a time. A block's fundamental cycles of a
+breadth-first spanning tree span its complement, and its one unit singular
+value is its largest, tagged unit however rounding left it; only the null
+tags are read against a tolerance. The predicted eigenvalues run block by block.
 
 Multiplicities total N. Verification pairs the predicted multiset against
 eigenvalues computed independently of the discriminant's SVD and of
-walk_action, one block per connected component scattered from its pairs,
-and checks every predicted eigenvector's walk_action residual, walking each
-real column A mu, B nu and cycle once, in blocks built and dropped in turn
-(see residuals).
+walk_action, and checks every predicted eigenvector's walk_action residual,
+walking each real column A mu, B nu and cycle once, in blocks built and
+dropped in turn (see residuals).
 
 The oracle reads the walk's eigenphases from the singular values of one or
 two triangular factors per component, each at most s_i x s_i with s_i the
@@ -56,7 +56,7 @@ import numpy as np
 
 from .classical import TransitionSystem, build_transitions
 from .errors import HyperwalkError
-from .hypergraph import Hypergraph, component_count, component_labels, degree_profile, read_integers
+from .hypergraph import Hypergraph, degree_profile, read_integers
 from .operators import WalkOperator, build_walk, walk_action
 
 DENSE_CAP_ENV = "HYPERWALK_DENSE_CAP"
@@ -104,76 +104,83 @@ class SvdResult:
 class SpectrumPrediction:
     """Predicted eigenvalue multiset of the walk operator, and its eigenvectors' residuals.
 
-    The eigenvalues run over the singular indices j, then the larger side's
-    unpaired directions, then the cycles. With a_j = A mu_j and b_j = B nu_j,
-    row gathers of SVD columns (A and B have one nonzero per row), a unit j
-    gives +1 on a_j, a null j gives -1 on a_j and -1 on b_j, and an interior
-    j gives exp(+2i theta_j) and then exp(-2i theta_j) on
+    blocks holds the pairs, walk, SVD and tags of each block of walk.components.
+    The eigenvalues run block by block, and within a block over its singular
+    indices j, then its unpaired directions, then its cycles. With a_j = A mu_j
+    and b_j = B nu_j, row gathers of SVD columns (A and B have one nonzero per
+    row), a unit j gives +1 on a_j, a null j gives -1 on a_j and -1 on b_j, and
+    an interior j gives exp(+2i theta_j) and then exp(-2i theta_j) on
     (a_j - exp(+/-i theta_j) b_j) / (sqrt(2) sin theta_j). An unpaired
     direction gives -1 on its a_j or b_j, and a cycle +1 on its normalised
-    column of cycle_basis. No eigenvector is stored: residuals walks the SVD
-    and cycle columns on first access.
+    column of cycle_basis. singular_values and classification merge the
+    blocks' in descending order. No eigenvector is stored: residuals walks
+    the SVD and cycle columns on first access.
     """
 
     eigenvalues: np.ndarray
+    singular_values: np.ndarray
     classification: tuple[str, ...]
     notes: tuple[str, ...]
-    svd: SvdResult
-    walk: WalkOperator
+    blocks: tuple[tuple[np.ndarray, WalkOperator, SvdResult, tuple[str, ...]], ...]
 
     @cached_property
     def residuals(self) -> np.ndarray:
-        """The walk_action residual ||W x - lambda x|| of every eigenvector x, in eigenvalue order.
-
-        Each block walks the a_j, b_j and cycle columns c of a range of indices
-        once, side by side. A unit, null or unpaired a_j gives ||W a - lambda a||,
-        a null or unpaired b_j gives ||W b + b||, and a cycle
-        ||W c - c|| / sqrt(nnz(c)). An interior j gives
-        ||W a - e^{i theta} W b - e^{2i theta} a + e^{3i theta} b|| / (sqrt(2) sin theta)
-        from its real and imaginary parts, for both of its eigenvalues: W is
-        real, so the conjugate eigenvector's residual has the same norm.
-        """
-        hg, walk, svd = self.walk.hypergraph, self.walk, self.svd
-        r, wider = svd.singular_values.size, max(hg.n, hg.m)
-        tags = np.array(self.classification + ("unpaired",) * (wider - r))
-        inner, theta = tags == "interior", np.arccos(np.clip(svd.singular_values, 0.0, 1.0))
-        values = np.stack([np.where(tags == "unit", 1.0, -1.0), np.full(wider, -1.0)])  # lambda of a_j, b_j
-        plain, mixed = np.zeros((2, wider)), np.zeros(r)  # mixed: the interior residuals' numerators
-        cycles, _ = cycle_basis(hg)
-        loops = np.zeros(cycles.shape[1])
-
-        def walk_block(lo: int) -> None:
-            """Walk [a | b | c] from index lo once, write their residuals and drop every array made."""
-            block = slice(lo, lo + _RESIDUAL_BLOCK)
-            u, v, c = svd.left_vectors[:, block], svd.right_vectors[:, block], cycles[:, block]
-            cuts = [u.shape[1], u.shape[1] + v.shape[1]]
-            x = np.empty((walk.size, cuts[1] + c.shape[1]))
-            a, b, loop = np.hsplit(x, cuts)
-            np.multiply(walk.vertex_weights[:, None], u[hg.pair_v], out=a)
-            np.multiply(walk.edge_weights[:, None], v[hg.pair_e], out=b)
-            loop[:] = c
-            wa, wb, wc = np.hsplit(walk_action(walk, x), cuts)
-            loops[block] = np.linalg.norm(wc - loop, axis=0) / np.sqrt(np.count_nonzero(c, axis=0))
-            for side, y, wy in ((0, a, wa), (1, b, wb)):
-                at = np.flatnonzero(~inner[block][: y.shape[1]])
-                plain[side, lo + at] = np.linalg.norm(wy[:, at] - values[side, lo + at] * y[:, at], axis=0)
-            p = max(min(r - lo, _RESIDUAL_BLOCK), 0)  # paired columns, first in a and b
-            turn = np.outer([1.0, 2.0, 3.0], theta[lo : lo + p])
-            cos, sin = np.cos(turn), np.sin(turn)
-            re = wa[:, :p] - cos[0] * wb[:, :p] - cos[1] * a[:, :p] + cos[2] * b[:, :p]
-            im = sin[0] * wb[:, :p] + sin[1] * a[:, :p] - sin[2] * b[:, :p]
-            mixed[lo : lo + p] = np.hypot(np.linalg.norm(re, axis=0), np.linalg.norm(im, axis=0))
-
-        for lo in range(0, max(wider, loops.size), _RESIDUAL_BLOCK):
-            walk_block(lo)
-        first, second = plain[:, :r]
-        paired = inner[:r]
-        first[paired] = second[paired] = mixed[paired] / (np.sqrt(2.0) * np.sin(theta[paired]))
-        return _in_order(self.classification, first, second, plain[int(hg.m > hg.n), r:], loops)
+        """The walk_action residual ||W x - lambda x|| of every eigenvector x, in eigenvalue order."""
+        return np.concatenate([_residuals(walk, svd, tags) for _, walk, svd, tags in self.blocks])
 
     @property
     def max_residual(self) -> float:
         return float(self.residuals.max(initial=0.0))
+
+
+def _residuals(walk: WalkOperator, svd: SvdResult, classification: tuple[str, ...]) -> np.ndarray:
+    """The residuals of one connected block's eigenvectors, in its eigenvalue order.
+
+    Each pass walks the a_j, b_j and cycle columns c of a range of indices
+    once, side by side. A unit, null or unpaired a_j gives ||W a - lambda a||,
+    a null or unpaired b_j gives ||W b + b||, and a cycle
+    ||W c - c|| / sqrt(nnz(c)). An interior j gives
+    ||W a - e^{i theta} W b - e^{2i theta} a + e^{3i theta} b|| / (sqrt(2) sin theta)
+    from its real and imaginary parts, for both of its eigenvalues: W is
+    real, so the conjugate eigenvector's residual has the same norm.
+    """
+    hg = walk.hypergraph
+    r, wider = svd.singular_values.size, max(hg.n, hg.m)
+    tags = np.array(classification + ("unpaired",) * (wider - r))
+    inner, theta = tags == "interior", np.arccos(np.clip(svd.singular_values, 0.0, 1.0))
+    values = np.stack([np.where(tags == "unit", 1.0, -1.0), np.full(wider, -1.0)])  # lambda of a_j, b_j
+    plain, mixed = np.zeros((2, wider)), np.zeros(r)  # mixed: the interior residuals' numerators
+    cycles, _ = cycle_basis(hg)
+    loops = np.zeros(cycles.shape[1])
+
+    def walk_block(lo: int) -> None:
+        """Walk [a | b | c] from index lo once, write their residuals and drop every array made."""
+        block = slice(lo, lo + _RESIDUAL_BLOCK)
+        u, v, c = svd.left_vectors[:, block], svd.right_vectors[:, block], cycles[:, block]
+        cuts = [u.shape[1], u.shape[1] + v.shape[1]]
+        x = np.empty((walk.size, cuts[1] + c.shape[1]))
+        a, b, loop = np.hsplit(x, cuts)
+        np.multiply(walk.vertex_weights[:, None], u[hg.pair_v], out=a)
+        np.multiply(walk.edge_weights[:, None], v[hg.pair_e], out=b)
+        loop[:] = c
+        wa, wb, wc = np.hsplit(walk_action(walk, x), cuts)
+        loops[block] = np.linalg.norm(wc - loop, axis=0) / np.sqrt(np.count_nonzero(c, axis=0))
+        for side, y, wy in ((0, a, wa), (1, b, wb)):
+            at = np.flatnonzero(~inner[block][: y.shape[1]])
+            plain[side, lo + at] = np.linalg.norm(wy[:, at] - values[side, lo + at] * y[:, at], axis=0)
+        p = max(min(r - lo, _RESIDUAL_BLOCK), 0)  # paired columns, first in a and b
+        turn = np.outer([1.0, 2.0, 3.0], theta[lo : lo + p])
+        cos, sin = np.cos(turn), np.sin(turn)
+        re = wa[:, :p] - cos[0] * wb[:, :p] - cos[1] * a[:, :p] + cos[2] * b[:, :p]
+        im = sin[0] * wb[:, :p] + sin[1] * a[:, :p] - sin[2] * b[:, :p]
+        mixed[lo : lo + p] = np.hypot(np.linalg.norm(re, axis=0), np.linalg.norm(im, axis=0))
+
+    for lo in range(0, max(wider, loops.size), _RESIDUAL_BLOCK):
+        walk_block(lo)
+    first, second = plain[:, :r]
+    paired = inner[:r]
+    first[paired] = second[paired] = mixed[paired] / (np.sqrt(2.0) * np.sin(theta[paired]))
+    return _in_order(classification, first, second, plain[int(hg.m > hg.n), r:], loops)
 
 
 def _in_order(tags: tuple[str, ...], first, second, *rest) -> np.ndarray:
@@ -265,21 +272,21 @@ def full_svd(disc: np.ndarray) -> SvdResult:
     return SvdResult(singular_values=sigma, left_vectors=left, right_vectors=right_t.T)
 
 
-def classify_singular_values(sigma: np.ndarray, units: int, tol: float) -> tuple[str, ...]:
-    """Tag the first units values (the largest) as unit, each of the rest null (<= tol) or interior."""
+def classify_singular_values(sigma: np.ndarray, tol: float) -> tuple[str, ...]:
+    """Tag a connected block's descending singular values: the first unit, the rest null (<= tol) or interior."""
     tol = _check_tolerance(tol)
-    return ("unit",) * units + tuple("null" if s <= tol else "interior" for s in sigma[units:])
+    return ("unit",) + tuple("null" if s <= tol else "interior" for s in sigma[1:])
 
 
 def cycle_basis(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """Signed fundamental cycles of a breadth-first spanning forest, and their closing pairs.
+    """Signed fundamental cycles of a connected hypergraph's breadth-first spanning tree, and their closing pairs.
 
     The incidence graph has a node per vertex and per hyperedge and an edge
-    per pair. Every pair left out of the forest closes one cycle with the
-    forest path between its ends; the column holds +1 at each pair that
+    per pair. Every pair left out of the tree closes one cycle with the
+    tree path between its ends; the column holds +1 at each pair that
     cycle crosses vertex -> hyperedge and -1 at each pair it crosses
     hyperedge -> vertex, so it sums to 0 over every vertex's and every
-    hyperedge's pairs. The N x (N - n - m + c) int8 basis spans the walk's
+    hyperedge's pairs. The N x (N - n - m + 1) int8 basis spans the walk's
     +1 complement; column j is closed by pair closing[j], ascending, so the
     basis restricted to the closing rows is the identity.
     """
@@ -289,36 +296,32 @@ def cycle_basis(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     vertex_bounds = vertex_starts.tolist() + [size]
     edge_bounds = edge_starts.tolist() + [size]
     # Nodes 0..n-1 are vertices and n..n+m-1 hyperedges; up[x] is the pair
-    # from x to its parent (-1 at a root, which the climb below never leaves).
+    # from x to its parent (-1 at the root, vertex 0, which the climb below never leaves).
     up = [-1] * (n + hg.m)
-    depth = [-1] * (n + hg.m)
-    in_forest = np.zeros(size, dtype=bool)
-    for root in range(n):
-        if depth[root] >= 0:
-            continue
-        depth[root] = 0
-        queue = [root]
-        for x in queue:
-            if x < n:
-                steps = [(p, n + pair_e[p]) for p in range(vertex_bounds[x], vertex_bounds[x + 1])]
-            else:
-                e = x - n
-                steps = [(p, pair_v[p]) for p in edge_pairs[edge_bounds[e]:edge_bounds[e + 1]]]
-            for p, y in steps:
-                if depth[y] < 0:
-                    depth[y], up[y] = depth[x] + 1, p
-                    in_forest[p] = True
-                    queue.append(y)
+    depth = [0] + [-1] * (n + hg.m - 1)
+    in_tree = np.zeros(size, dtype=bool)
+    queue = [0]
+    for x in queue:
+        if x < n:
+            steps = [(p, n + pair_e[p]) for p in range(vertex_bounds[x], vertex_bounds[x + 1])]
+        else:
+            e = x - n
+            steps = [(p, pair_v[p]) for p in edge_pairs[edge_bounds[e]:edge_bounds[e + 1]]]
+        for p, y in steps:
+            if depth[y] < 0:
+                depth[y], up[y] = depth[x] + 1, p
+                in_tree[p] = True
+                queue.append(y)
     up, depth = np.asarray(up), np.asarray(depth)
     is_vertex = np.arange(n + hg.m) < n
     parent = np.where(is_vertex, n + hg.pair_e[up], hg.pair_v[up])
-    closing = np.flatnonzero(~in_forest)
+    closing = np.flatnonzero(~in_tree)
     basis = np.zeros((size, closing.size), dtype=np.int8, order="F")
     columns = np.arange(closing.size)
     basis[closing, columns] = 1
     # Climb from both ends of each closing pair to their common ancestor.
     # The cycle runs v -> e over the closing pair and returns to v through
-    # the forest, so it crosses the pairs climbed from the e end in the
+    # the tree, so it crosses the pairs climbed from the e end in the
     # climbing direction (+1 when climbing away from a vertex) and those
     # climbed from the v end against it (-1 when climbing away from a vertex).
     x, y = hg.pair_v[closing], n + hg.pair_e[closing]
@@ -333,31 +336,32 @@ def cycle_basis(hg: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
     return basis, closing
 
 
-def predict_spectrum(
-    svd: SvdResult,
-    walk: WalkOperator,
-    tol: float = CLASSIFY_TOL_DEFAULT,
-) -> SpectrumPrediction:
-    """Assemble the predicted eigensystem of the walk from the discriminant's SVD.
+def predict_spectrum(walk: WalkOperator, tol: float = CLASSIFY_TOL_DEFAULT) -> SpectrumPrediction:
+    """Assemble the predicted eigensystem of the walk from the SVD of each block's discriminant.
 
-    The eigenvalues are listed in the order of SpectrumPrediction; the c
-    largest singular values, c the number of components, are the unit ones,
-    and the +1 complement is spanned by the N - n - m + c normalised
-    fundamental cycles (see cycle_basis). Nothing of size N x N is formed
+    The eigenvalues are in SpectrumPrediction's order, each block's cycles (see
+    cycle_basis) spanning its +1 complement. Nothing of size N x N is formed
     here, and the cycles are found only when the residuals are read.
     """
-    tol = _check_tolerance(tol)
-    hg = walk.hypergraph
-    size, n, m = walk.size, hg.n, hg.m
-    sigma = svd.singular_values
-    components = component_count(hg)
-    tags = classify_singular_values(sigma, components, tol)
-    theta = np.arccos(np.clip(sigma, 0.0, 1.0))
-    null = np.array(tags) == "null"
-    first = np.where(np.array(tags) == "unit", 1.0, np.where(null, -1.0, np.exp(2j * theta)))
-    second = np.where(null, -1.0, np.exp(-2j * theta))
+    n, m, values, blocks = walk.hypergraph.n, walk.hypergraph.m, [], []
+    for pairs, block in walk.components:
+        part = block.hypergraph
+        svd = full_svd(discriminant(build_transitions(part)))
+        tags = classify_singular_values(svd.singular_values, tol)
+        theta = np.arccos(np.clip(svd.singular_values, 0.0, 1.0))
+        null = np.array(tags) == "null"
+        first = np.where(np.array(tags) == "unit", 1.0, np.where(null, -1.0, np.exp(2j * theta)))
+        second = np.where(null, -1.0, np.exp(-2j * theta))
+        unpaired, cycles = np.full(abs(part.n - part.m), -1.0), np.ones(block.size - part.n - part.m + 1)
+        values.append(_in_order(tags, first, second, unpaired, cycles))
+        blocks.append((pairs, block, svd, tags))
+    # Padded with the null zeros that an SVD of the whole discriminant pairs off between blocks.
+    pad = min(n, m) - sum(len(tags) for *_, tags in blocks)
+    sigma = np.concatenate([svd.singular_values for *_, svd, _ in blocks] + [np.zeros(pad)])
+    merged, order = [tag for *_, tags in blocks for tag in tags] + ["null"] * pad, np.argsort(-sigma, kind="stable")
+    tags = tuple(merged[i] for i in order)
     notes: list[str] = []
-    if null.any():
+    if "null" in tags:
         notes.append("null singular values present: each assigned two -1 eigenvalues "
                      "(outside the generic all-interior case)")
     # Unpaired singular directions on the larger side all map to -1, and
@@ -365,11 +369,11 @@ def predict_spectrum(
     if n != m:
         notes.append(f"{abs(n - m)} unpaired {'vertex' if n > m else 'edge'}-side directions assigned eigenvalue -1")
     return SpectrumPrediction(
-        eigenvalues=_in_order(tags, first, second, np.full(abs(n - m), -1.0), np.ones(size - n - m + components)),
+        eigenvalues=np.concatenate(values),
+        singular_values=sigma[order],
         classification=tags,
         notes=tuple(notes),
-        svd=svd,
-        walk=walk,
+        blocks=tuple(blocks),
     )
 
 
@@ -389,13 +393,7 @@ def dense_cap() -> int:
 
 def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     """Independent oracle: the walk's eigenvalues from the singular values of
-    one triangular factor per component, or two.
-
-    W only mixes pairs that share a vertex or a hyperedge, so with its pairs
-    grouped by connected component it is a permutation of diag(W_1, ..., W_c),
-    whose eigenvalues are the blocks' together. Each block is renumbered in
-    (v, e) order so the weights stay aligned, once every hyperedge's pairs
-    carry one label.
+    one triangular factor per block of walk.components, or two.
 
     With P_A = AA^T, P_B = BB^T and the reflections R = 2P - I, W = R_B R_A.
     Per block, the eigenvalues of Y = P_B - P_A and X = P_A + P_B - I give
@@ -444,26 +442,15 @@ def brute_force_spectrum(walk: WalkOperator) -> np.ndarray:
     cap = dense_cap()
     if walk.size > cap:
         raise HyperwalkError(f"pair dimension {walk.size} exceeds dense cap {cap}")
-    hg = walk.hypergraph
-    labels = component_labels(hg)[hg.pair_v]
-    _, edge_order, edge_starts = hg.segments
-    if not np.array_equal(labels[edge_order[edge_starts]][hg.pair_e], labels):
-        raise HyperwalkError("component labels split a hyperedge")
-    order = np.argsort(labels, kind="stable")
-    cuts = [0, *(np.flatnonzero(np.diff(labels[order])) + 1).tolist(), walk.size]
     # Allocated before any block: made after one, it lands in the freed block's heap space.
     spectrum = np.empty(walk.size, dtype=np.complex128)
-    for lo, hi in zip(cuts, cuts[1:]):
-        pairs = order[lo:hi]
-        v, e = (np.unique(ids[pairs], return_inverse=True)[1] for ids in (hg.pair_v, hg.pair_e))
-        part = Hypergraph(int(v.max()) + 1, int(e.max()) + 1, v, e)
-        block = WalkOperator(part, walk.vertex_weights[pairs], walk.edge_weights[pairs])
-        _reflection_eigenvalues(block, spectrum[lo:hi])
+    for pairs, block in walk.components:
+        spectrum[pairs] = _reflection_eigenvalues(block)
     return spectrum
 
 
-def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
-    """Write one connected block's eigenvalues to out (see brute_force_spectrum); every array
+def _reflection_eigenvalues(block: WalkOperator) -> np.ndarray:
+    """One connected block's eigenvalues (see brute_force_spectrum); every other array
     made here is dropped before the next block is built."""
     hg, (vertex_starts, edge_order, edge_starts) = block.hypergraph, block.hypergraph.segments
     sides = [
@@ -501,7 +488,7 @@ def _reflection_eigenvalues(block: WalkOperator, out: np.ndarray) -> None:
     # [R; R1] are 0; the l - s rows of L^T S that R1 zeroes are pi.
     phases = np.pad(np.repeat(angles, 2), (size - l + s - 2 * k, l - s), constant_values=(0.0, np.pi))
     phases[1::2] *= -1.0
-    out[:] = np.exp(1j * phases)
+    return np.exp(1j * phases)
 
 
 def _circle_sort(values: np.ndarray) -> np.ndarray:
@@ -566,14 +553,12 @@ def analyze(
     """
     classify_tol = _check_tolerance(classify_tol)
     verify_tol = _check_tolerance(verify_tol)
-    ts = build_transitions(hg)
-    walk = build_walk(ts)
+    walk = build_walk(build_transitions(hg))
     verifiable = walk.size <= dense_cap()
-    # The oracle runs first, so its dense blocks are freed before the SVD
-    # allocates and before any eigenvector block is built.
+    # The oracle runs first, so its dense blocks are freed before the SVDs
+    # allocate and before any eigenvector block is built.
     actual = brute_force_spectrum(walk) if verifiable else None
-    svd = full_svd(discriminant(ts))
-    prediction = predict_spectrum(svd, walk, tol=classify_tol)
+    prediction = predict_spectrum(walk, tol=classify_tol)
     profile = degree_profile(hg)
     verdict = verify(prediction, actual, tol=verify_tol) if verifiable else None
     return SpectralReport(
@@ -582,7 +567,7 @@ def analyze(
         k=profile.k,
         d=profile.d,
         size=walk.size,
-        singular_values=svd.singular_values,
+        singular_values=prediction.singular_values,
         classification=prediction.classification,
         predicted=prediction.eigenvalues,
         actual=actual,

@@ -154,21 +154,23 @@ def dense_walk(walk) -> np.ndarray:
 
 def eigenvectors(prediction) -> np.ndarray:
     """The N x N matrix of the prediction's unit eigenvectors, in the order of its
-    eigenvalues, written one column at a time from the classification, the SVD and
-    cycle_basis alone: per singular index, A mu for a unit one, A mu and B nu for a
-    null one, (A mu - exp(+/-i theta) B nu) / (sqrt(2) sin theta) for an interior
-    one; then the larger side's unpaired A mu or B nu; then the normalised cycles.
-    Row p of A holds sqrt(p_ve) in column v_p, so a column of A U is a row gather."""
-    walk, svd, hg = prediction.walk, prediction.svd, prediction.walk.hypergraph
+    eigenvalues, written one column at a time from each block's classification, SVD
+    and cycle_basis alone, each block's columns scattered onto its pairs' rows: per
+    singular index, A mu for a unit one, A mu and B nu for a null one,
+    (A mu - exp(+/-i theta) B nu) / (sqrt(2) sin theta) for an interior one; then the
+    block's larger side's unpaired A mu or B nu; then its normalised cycles. Row p of
+    A holds sqrt(p_ve) in column v_p, so a column of A U is a row gather."""
 
-    def a_mu(j):
-        return walk.vertex_weights * svd.left_vectors[hg.pair_v, j]
+    def columns(walk, svd, tags):
+        hg = walk.hypergraph
 
-    def b_nu(j):
-        return walk.edge_weights * svd.right_vectors[hg.pair_e, j]
+        def a_mu(j):
+            return walk.vertex_weights * svd.left_vectors[hg.pair_v, j]
 
-    def columns():
-        for j, (s, tag) in enumerate(zip(svd.singular_values, prediction.classification)):
+        def b_nu(j):
+            return walk.edge_weights * svd.right_vectors[hg.pair_e, j]
+
+        for j, (s, tag) in enumerate(zip(svd.singular_values, tags)):
             if tag == "unit":
                 yield a_mu(j)
             elif tag == "null":
@@ -184,8 +186,12 @@ def eigenvectors(prediction) -> np.ndarray:
         for cycle in cycle_basis(hg)[0].T:
             yield cycle / np.linalg.norm(cycle)
 
-    out = np.empty((walk.size, walk.size), dtype=np.complex128)
-    for k, column in enumerate(columns()):
-        out[:, k] = column
-    assert k == walk.size - 1
+    size = prediction.eigenvalues.size
+    out = np.zeros((size, size), dtype=np.complex128)
+    k = 0
+    for pairs, block, svd, tags in prediction.blocks:
+        for column in columns(block, svd, tags):
+            out[pairs, k] = column
+            k += 1
+    assert k == size
     return out

@@ -16,7 +16,7 @@ from conftest import (
     union_find_components,
     union_find_partition,
 )
-from hyperwalk.hypergraph import component_count, component_labels
+from hyperwalk.hypergraph import component_labels
 
 
 def test_single_edge_incidence():
@@ -356,12 +356,13 @@ def test_component_count_matches_union_find():
         edges = [set(rng.integers(0, n, size=int(rng.integers(1, 4))).tolist()) for _ in range(n // 2 + 1)]
         edges += [{v} for v in set(range(n)) - set().union(*edges)]
         hg = hw.from_edge_lists(n, edges)
-        assert component_count(hg) == union_find_components(hg)
+        assert np.unique(component_labels(hg)).size == union_find_components(hg)
+        assert hw.is_connected(hg) == (union_find_components(hg) == 1)
         assert_labels_match_union_find(hg)
     n = 5000
     path = [{v, v + 1} for v in reversed(range(n - 1))]
     split = hw.from_edge_lists(n, path[:1000] + path[1001:])
-    assert component_count(split) == 2
+    assert np.unique(component_labels(split)).size == 2 and not hw.is_connected(split)
     assert_labels_match_union_find(split)
 
 
@@ -371,10 +372,10 @@ def test_array_holding_dataclasses_compare_by_identity():
     hg, twin = single_edge(), single_edge()
     ts, walk = pipeline(hg)
     report = hw.analyze(hg)
-    prediction = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+    prediction = hw.predict_spectrum(walk)
     objects = [
         hg, hw.degree_profile(hg), ts, hw.stationary_distribution(ts), walk,
-        random_state(walk.size, seed=1), prediction.svd, prediction, report,
+        random_state(walk.size, seed=1), prediction.blocks[0][2], prediction, report,
     ]
     for obj in objects:
         assert obj == obj and obj in [obj]

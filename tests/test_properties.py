@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 import hyperwalk as hw
 from hyperwalk.cli import _series_lines, main
-from hyperwalk.spectral import pairing_distance
-from conftest import dense_walk, pipeline, union_find_components
+from hyperwalk.spectral import group_eigenvalues, pairing_distance
+from conftest import dense_walk, disjoint_union, pipeline, union_find_components
 
 # Edge lines under an "n 4" header: valid edges, integer lists that may
 # repeat a vertex or leave [0, 4), and lines of junk tokens.
@@ -68,6 +68,30 @@ def test_analyze_counts_one_unit_per_component_and_passes(hg, classify_tol):
 def test_oracle_matches_dense_eigvals(hg):
     _, walk = pipeline(hg)
     assert pairing_distance(hw.brute_force_spectrum(walk), np.linalg.eigvals(dense_walk(walk))) <= 1e-12
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(left=hypergraphs(), right=hypergraphs())
+def test_disjoint_union_spectrum_is_the_parts_together(left, right):
+    # A disjoint union's spectrum is its parts' together, with no dense reference: the grouped
+    # predicted multiset, the oracle's spectrum, the merged singular values (padded with zeros to
+    # min(n, m)) and the unit counts must all combine.
+    _, walk = pipeline(disjoint_union(left, right))
+    union = hw.predict_spectrum(walk)
+    parts = [hw.predict_spectrum(pipeline(hg)[1]) for hg in (left, right)]
+    combined = np.concatenate([part.eigenvalues for part in parts])
+    grouped = [group_eigenvalues(values) for values in (union.eigenvalues, combined)]
+    assert [count for _, count in grouped[0]] == [count for _, count in grouped[1]]
+    assert max(abs(z - w) for (z, _), (w, _) in zip(*grouped)) <= 1e-12
+    oracle = [hw.brute_force_spectrum(pipeline(hg)[1]) for hg in (left, right)]
+    assert pairing_distance(hw.brute_force_spectrum(walk), np.concatenate(oracle)) <= 1e-12
+    pad = min(left.n + right.n, left.m + right.m) - sum(part.singular_values.size for part in parts)
+    sigma = np.concatenate([part.singular_values for part in parts] + [np.zeros(pad)])
+    np.testing.assert_array_equal(union.singular_values, np.sort(sigma)[::-1])
+    assert union.classification.count("unit") == sum(part.classification.count("unit") for part in parts)
+    # Each tag stays with its value: units (the blocks' largest) first, nulls last.
+    assert list(union.classification) == sorted(union.classification, key=["unit", "interior", "null"].index)
+    assert union.classification.count("null") == pad + sum(part.classification.count("null") for part in parts)
 
 
 def isometric_walk(hg, seed):

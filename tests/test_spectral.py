@@ -112,25 +112,26 @@ def test_singular_values_bounded_and_top_is_one():
 
 
 def test_classification_tags():
-    # The unit tags are the first `units` values, whatever the tolerance;
-    # a value just below 1 beyond them is interior.
+    # The unit tag is the first value's, whatever the tolerance; a value just
+    # below 1 after it is interior, and a small one null only within the tolerance.
     sigma = np.array([1.0 - 1.1e-16, 1.0 - 1e-12, 0.5, 1e-12])
     tags = ("unit", "interior", "interior", "null")
-    assert hw.classify_singular_values(sigma, units=1, tol=1e-9) == tags
-    assert hw.classify_singular_values(sigma, units=1, tol=1e-17) == tags[:3] + ("interior",)
-    assert hw.classify_singular_values(sigma, units=2, tol=1e-3)[:2] == ("unit", "unit")
+    assert hw.classify_singular_values(sigma, tol=1e-9) == tags
+    assert hw.classify_singular_values(sigma, tol=1e-17) == tags[:3] + ("interior",)
+    assert hw.classify_singular_values(sigma, tol=1e-3) == tags
+    assert hw.classify_singular_values(np.array([1e-12]), tol=1e-3) == ("unit",)
 
 
 def test_classification_rejects_bad_tolerance():
     with pytest.raises(hw.HyperwalkError, match=r"tolerance must be in \(0, 0.001\], got 0.5"):
-        hw.classify_singular_values(np.array([0.5]), units=0, tol=0.5)
+        hw.classify_singular_values(np.array([0.5]), tol=0.5)
     with pytest.raises(hw.HyperwalkError, match=r"tolerance must be in \(0, 0.001\], got 0.0"):
-        hw.classify_singular_values(np.array([0.5]), units=0, tol=0.0)
+        hw.classify_singular_values(np.array([0.5]), tol=0.0)
 
 
 def test_predicted_multiset_single_edge():
-    ts, walk = pipeline(single_edge())
-    pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+    _, walk = pipeline(single_edge())
+    pred = hw.predict_spectrum(walk)
     values = sorted(pred.eigenvalues.real.round(12).tolist())
     assert values == [-1.0, -1.0, 1.0]
     actual = hw.brute_force_spectrum(walk)
@@ -138,8 +139,8 @@ def test_predicted_multiset_single_edge():
 
 
 def test_predicted_multiset_triangle():
-    ts, walk = pipeline(triangle())
-    pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+    _, walk = pipeline(triangle())
+    pred = hw.predict_spectrum(walk)
     counts = {}
     for z in pred.eigenvalues:
         key = (round(z.real, 9), round(z.imag, 9))
@@ -154,15 +155,15 @@ def test_predicted_multiset_triangle():
 
 def test_predicted_multiplicities_sum_to_dimension():
     for hg in battery():
-        ts, walk = pipeline(hg)
-        pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+        _, walk = pipeline(hg)
+        pred = hw.predict_spectrum(walk)
         assert pred.eigenvalues.size == walk.size
 
 
 def test_predicted_vectors_are_unit_norm():
     for hg in [triangle(), six_by_four()] + random_instances(5, seed=42):
-        ts, walk = pipeline(hg)
-        pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+        _, walk = pipeline(hg)
+        pred = hw.predict_spectrum(walk)
         norms = np.linalg.norm(eigenvectors(pred), axis=0)
         assert np.abs(norms - 1.0).max() <= 1e-12
 
@@ -222,8 +223,8 @@ def test_brute_force_requires_dense(monkeypatch):
 
 
 def test_corrupted_prediction_fails_with_distance_two():
-    ts, walk = pipeline(single_edge())
-    pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+    _, walk = pipeline(single_edge())
+    pred = hw.predict_spectrum(walk)
     corrupted_values = pred.eigenvalues.copy()
     plus_one = int(np.argmax(corrupted_values.real))
     corrupted_values[plus_one] = -1.0 + 0.0j
@@ -240,8 +241,8 @@ def test_pairing_count_mismatch():
 
 def assert_count_rule(hg):
     """complex = 2 #interior, -1 = |n-m| + 2 #null, +1 = N-n-m + 2 #unit, against eig."""
-    ts, walk = pipeline(hg)
-    pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+    _, walk = pipeline(hg)
+    pred = hw.predict_spectrum(walk)
     tags = pred.classification
     complex_count = int(np.sum(np.abs(pred.eigenvalues.imag) > 1e-9))
     minus = int(np.sum(np.abs(pred.eigenvalues + 1.0) < 1e-9))
@@ -286,21 +287,38 @@ def test_cycle_basis_spans_the_complement():
     instances = [hw.from_edge_lists(*case.values[:2]) for case in IRREGULAR]
     instances += random_instances(10, seed=47) + [cycle(7)]
     for hg in instances:
-        ts, walk = pipeline(hg)
-        basis, closing = cycle_basis(hg)
-        assert basis.shape == (walk.size, walk.size - hg.n - hg.m + union_find_components(hg))
-        assert set(np.unique(basis).tolist()) <= {-1, 0, 1}
-        np.testing.assert_array_equal(basis[closing], np.eye(basis.shape[1]))
-        for column in basis.T:
-            assert not np.bincount(hg.pair_v, weights=column, minlength=hg.n).any()
-            assert not np.bincount(hg.pair_e, weights=column, minlength=hg.m).any()
-        assert np.linalg.matrix_rank(basis) == basis.shape[1]
-        pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
-        # One +1 per cycle, last; the other exact +1s are the unit indices.
-        np.testing.assert_array_equal(pred.eigenvalues[walk.size - basis.shape[1]:], 1.0)
-        assert np.count_nonzero(pred.eigenvalues == 1.0) == basis.shape[1] + pred.classification.count("unit")
+        _, walk = pipeline(hg)
+        pred = hw.predict_spectrum(walk)
+        lo, cycles = 0, 0
+        for _, block in walk.components:
+            part = block.hypergraph
+            basis, closing = cycle_basis(part)
+            assert basis.shape == (block.size, block.size - part.n - part.m + 1)
+            assert set(np.unique(basis).tolist()) <= {-1, 0, 1}
+            np.testing.assert_array_equal(basis[closing], np.eye(basis.shape[1]))
+            for column in basis.T:
+                assert not np.bincount(part.pair_v, weights=column, minlength=part.n).any()
+                assert not np.bincount(part.pair_e, weights=column, minlength=part.m).any()
+            assert np.linalg.matrix_rank(basis) == basis.shape[1]
+            # One +1 per cycle, last in its block's eigenvalues.
+            lo, cycles = lo + block.size, cycles + basis.shape[1]
+            np.testing.assert_array_equal(pred.eigenvalues[lo - basis.shape[1] : lo], 1.0)
+        assert cycles == walk.size - hg.n - hg.m + union_find_components(hg)
+        # The other exact +1s are the unit indices.
+        assert np.count_nonzero(pred.eigenvalues == 1.0) == cycles + pred.classification.count("unit")
         assert pred.residuals.size == walk.size
         assert np.abs(np.linalg.norm(eigenvectors(pred), axis=0) - 1.0).max() <= 1e-12
+
+
+def twenty_copies() -> hw.Hypergraph:
+    """20 seeded copies of (12, 8, 3, 2) side by side: N = 480."""
+    return disjoint_union(*(hw.random_regular_uniform(12, 8, 3, 2, seed=seed) for seed in range(20)))
+
+
+def mixed_orientation() -> hw.Hypergraph:
+    """Components with more vertices than hyperedges (3, 1), fewer (1, 2) and as many (3, 3): their
+    1 + 1 + 3 singular values fall one short of min(n, m) = 6, a zero that pairs two unpaired sides."""
+    return hw.from_edge_lists(7, [[0, 1, 2], [3], [3], [4, 5], [5, 6], [4, 6]])
 
 
 STREAMED = [
@@ -318,6 +336,8 @@ STREAMED = [
     pytest.param(lambda: hw.random_regular_uniform(64, 32, 4, 2, seed=51), 1e-9, id="min32-cycles33"),
     pytest.param(lambda: hw.random_regular_uniform(66, 33, 4, 2, seed=51), 1e-9, id="min33-cycles34"),
     pytest.param(lambda: disjoint_union(six_by_four(), cycle(33), triangle()), 1e-9, id="three-components"),
+    pytest.param(twenty_copies, 1e-9, id="twenty-copies-N480"),
+    pytest.param(mixed_orientation, 1e-9, id="mixed-orientation"),
 ]
 
 
@@ -329,8 +349,8 @@ def test_streamed_residuals_match_dense_columns(build, classify_tol):
     # builds on its own, one column at a time. N = 128 and N = 256 are exact
     # multiples of the block width; the other sizes are not.
     hg = build()
-    ts, walk = pipeline(hg)
-    pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk, tol=classify_tol)
+    _, walk = pipeline(hg)
+    pred = hw.predict_spectrum(walk, tol=classify_tol)
     vectors = eigenvectors(pred)
     assert vectors.shape == (walk.size, walk.size) and vectors.dtype == np.complex128
     np.testing.assert_array_equal(eigenvectors(pred), vectors)
@@ -358,7 +378,22 @@ DISCONNECTED = [
         lambda: disjoint_union(hw.from_edge_lists(4, [{0, 1, 2}, {2, 3}, {0, 3}]), six_by_four(), cycle(5)),
         id="irregular-pieces",
     ),
+    pytest.param(twenty_copies, id="twenty-copies-N480"),
+    pytest.param(mixed_orientation, id="mixed-orientation"),
 ]
+
+
+def test_mixed_orientation_report_is_pinned():
+    # The blocks' singular values and tags merge in descending order, padded with one null zero
+    # to min(n, m), as an SVD of the whole discriminant has them.
+    report = hw.analyze(mixed_orientation())
+    assert report.verdict == "pass"
+    assert report.classification == ("unit", "unit", "unit", "interior", "interior", "null")
+    np.testing.assert_allclose(report.singular_values, [1.0, 1.0, 1.0, 0.5, 0.5, 0.0], atol=1e-12)
+    assert report.deviations == (
+        "null singular values present: each assigned two -1 eigenvalues (outside the generic all-interior case)",
+        "1 unpaired vertex-side directions assigned eigenvalue -1",
+    )
 
 
 def path(edges: int) -> hw.Hypergraph:
@@ -481,6 +516,21 @@ def test_oracle_solves_have_order_k_plus_the_smaller_side(build, solves, monkeyp
     assert sorted(shapes) == sorted(expected)
 
 
+def test_analyze_takes_one_discriminant_svd_per_component(monkeypatch):
+    # The predictor factors each component's n_i x m_i discriminant, never the whole 500 x 350 one;
+    # the oracle's value-only SVDs are not recorded.
+    shapes, svd = [], np.linalg.svd
+
+    def recording(a, *args, compute_uv=True, **kwargs):
+        if compute_uv:
+            shapes.append(a.shape)
+        return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    assert hw.analyze(spectrum_mid_union()).verdict == "pass"
+    assert sorted(shapes) == [(200, 150), (300, 200)]
+
+
 def test_oracle_reads_its_sines_from_the_tail_qr(monkeypatch):
     # The first singular value solve receives R, from the QR of H S off the first pairs. Its
     # rows' signs are the QR's choice, but R^T R = S^T (I - L L^T) S = I - D^T D with D = L^T S.
@@ -524,10 +574,13 @@ def test_blocked_oracle_builds_no_dense_walk_matrix():
 
 
 def test_blocked_oracle_rejects_labels_that_split_a_hyperedge(monkeypatch):
-    monkeypatch.setattr(hw.spectral, "component_labels", lambda hg: np.arange(hg.n))
+    # The oracle and the predictor take their blocks from one grouping, so both refuse it.
+    monkeypatch.setattr(hw.operators, "component_labels", lambda hg: np.arange(hg.n))
     _, walk = pipeline(triangle())
     with pytest.raises(hw.HyperwalkError, match="component labels split a hyperedge"):
         hw.brute_force_spectrum(walk)
+    with pytest.raises(hw.HyperwalkError, match="component labels split a hyperedge"):
+        hw.predict_spectrum(walk)
 
 
 def test_oracle_accepts_weights_that_vary_within_a_vertex(monkeypatch):
@@ -567,13 +620,13 @@ def test_oracle_and_prediction_memory_budget():
     # N x N matrix, and the test helper's eigenvector matrix is the only N x N
     # array it builds.
     hg = hw.random_regular_uniform(600, 400, 3, 2, seed=1)
-    ts, walk = pipeline(hg)
+    _, walk = pipeline(hg)
     _, crowded = pipeline(hw.from_edge_lists(1200, [range(1200)]))
     # A large cycle space: R is min(N - n, m) x m = 300 x 300 of N = 1200.
     _, cyclic = pipeline(hw.random_regular_uniform(400, 300, 4, 3, seed=1))
     # A null sigma sends the oracle to its second solve, of the 600 x 600 R1.
     _, ring = pipeline(cycle(600))
-    svd = hw.full_svd(hw.discriminant(ts))
+    prediction = hw.predict_spectrum(walk)
     for instance in (hg, crowded.hypergraph, cyclic.hypergraph, ring.hypergraph):
         instance.segments  # cached on first use, so no peak below includes it
     matrix_bytes = walk.size**2 * 8
@@ -593,9 +646,8 @@ def test_oracle_and_prediction_memory_budget():
     for instance in (walk, cyclic, ring):
         assert traced_peak(lambda: hw.brute_force_spectrum(instance)) <= 1.0 * matrix_bytes
     assert traced_peak(lambda: hw.brute_force_spectrum(crowded)) <= 0.1 * matrix_bytes
-    assert traced_peak(lambda: hw.predict_spectrum(svd, walk).residuals) <= 0.5 * matrix_bytes
+    assert traced_peak(lambda: prediction.residuals) <= 0.5 * matrix_bytes
     # The complex eigenvector matrix is 2 * matrix_bytes and is filled column by column.
-    prediction = hw.predict_spectrum(svd, walk)
     assert traced_peak(lambda: eigenvectors(prediction)) <= 2.5 * matrix_bytes
 
 
@@ -639,8 +691,8 @@ def test_analyze_above_cap_builds_no_cycle_basis(monkeypatch):
         raise AssertionError("cycle_basis called")
 
     monkeypatch.setattr(hw.spectral, "cycle_basis", forbidden)
-    ts, walk = pipeline(cycle(5))
-    pred = hw.predict_spectrum(hw.full_svd(hw.discriminant(ts)), walk)
+    _, walk = pipeline(cycle(5))
+    pred = hw.predict_spectrum(walk)
     # The 5-cycle's one cycle eigenvalue is listed, last, without the basis being built.
     assert pred.eigenvalues.size == walk.size and pred.eigenvalues[-1] == 1.0
     monkeypatch.setenv(hw.DENSE_CAP_ENV, "4")
