@@ -87,27 +87,87 @@ def _read_hypergraph(path: str):
     return parse(Path(path).read_text())
 
 
-# Values per "%" in a CSV row. "%" grows its text buffer by repeated realloc,
-# and the freed buffers stay resident: one "%" per row raised peak RSS by over
-# 100 MB at n = 150,000. A block of 128 values is about 3 KB of text, and
-# formats within a few percent of the time of a whole row.
-_BLOCK = 128
+# CSV values rendered per pass; it bounds the rows held back and the renderer's arrays.
+_CSV_VALUES = 4096
+
+# _csv_text lays each value out in 32 columns, then drops the spaces. For decimal
+# exponent -c, first digit h and z = 1 when all later digits are 0, columns 0-7
+# are _PREFIX[20 c + 2 h + z]: a comma and "0.000" up to h at 7, or h at 6 and a
+# point at 7 (blank if z = 1). Columns 8-23 are the next 16 digits by four,
+# _DIGITS[g + 10000 z], trailing zeros blank; 24-31 are _SUFFIX[c], "e-XX" below
+# 1e-4. _TENS[k] is the least double that is 10**(k - 10) or more at 17 digits.
+_PREFIX = "".join((",0." + "0" * (c - 1) + str(h)).rjust(8) if 1 <= c <= 4 else "     ,%d%s" % (h, ". "[z])
+                  for c in range(11) for h in range(10) for z in (0, 1))
+_PREFIX = np.frombuffer(_PREFIX.encode(), np.uint64)
+_DIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1) + 48
+_DIGITS = np.hstack([_DIGITS, np.where(np.logical_or.accumulate(_DIGITS[::-1] > 48)[::-1], _DIGITS, 32)])
+_DIGITS = _DIGITS.T.copy().view(np.uint32).ravel()
+_SUFFIX = np.frombuffer("".join("e-%02d    " % c if c >= 5 else " " * 8 for c in range(11)).encode(), np.uint64)
+_TENS = np.array([(10**18 - 5) / 10 ** (28 - k) for k in range(11)])
+_TENS = np.where([a * 10 ** (28 - k) < b * (10**18 - 5) for k, (a, b) in enumerate(map(float.as_integer_ratio, _TENS))],
+                 np.nextafter(_TENS, 1), _TENS)
+# Every integer operand below is uint64: numpy 1.x turns uint64 with int64 into float64.
+_POW5 = 5 ** np.arange(27, dtype=np.uint64)
+
+
+def _csv_text(values):
+    """For each row of values, the text of ",%.17g" % v for each v in it.
+
+    A value v = m * 2**(e - 53) in [1e-10, 10) whose 17 digits have decimal
+    exponent -c has the digits d = m * 5**p / 2**(53 - e - p), p = 16 + c,
+    rounded half to even, from the 128-bit product of 32-bit halves; +0.0 is
+    d = 0. Each other value (-0.0, nan, inf and the rest) is formatted alone.
+    """
+    x = values.ravel()
+    fast, zero = (x >= 1e-10) & (x < 10), (x == 0) & ~np.signbit(x)
+    xs = np.where(fast, x, 1.0)
+    frac, e = np.frexp(xs)
+    c = np.uint64(11) - np.searchsorted(_TENS, xs, "right").astype(np.uint64)
+    m, s, f = (frac * 2.0**53).astype(np.uint64), (37 - e).astype(np.uint64) - c, np.take(_POW5, 16 + c)
+    m0, m1, f0, f1 = m & 0xFFFFFFFF, m >> 32, f & 0xFFFFFFFF, f >> 32
+    low, cross, cross2 = m0 * f0, m0 * f1, m1 * f0
+    mid = (low >> 32) + (cross & 0xFFFFFFFF) + (cross2 & 0xFFFFFFFF)
+    lo = (low & 0xFFFFFFFF) | (mid << 32)
+    d = ((m1 * f1 + (cross >> 32) + (cross2 >> 32) + (mid >> 32)) << (64 - s)) | (lo >> s)
+    d += (lo & ((1 << s) - 1)) + (d & 1) > 1 << (s - 1)
+    d[zero] = 0
+    words, blank = np.empty((x.size, 4), np.uint64), True
+    for j in (3, 2, 1, 0):
+        g = d // 10 ** (12 - 4 * j) % 10**4
+        words.view(np.uint32)[:, 2 + j] = np.take(_DIGITS, g + blank * np.uint64(10000))
+        blank = blank & (g == 0)
+    words[:, 0], words[:, 3] = np.take(_PREFIX, c * 20 + d // 10**16 * 2 + blank), np.take(_SUFFIX, c)
+    alone = np.flatnonzero(~(fast | zero))
+    words[alone] = np.frombuffer("".join(",%-31.17g" % v for v in x[alone].tolist()).encode(), np.uint64).reshape(-1, 4)
+    text = words.view(np.uint8).ravel()
+    text[32 * values.shape[1] - 1 :: 32 * values.shape[1]] = 10  # a row's last column is blank
+    return text[text != 32].tobytes().decode().split("\n")[:-1]
 
 
 def _series_lines(rows, n: int, fmt: str):
     """The series, from (t, probabilities) rows read once, as text pieces: one JSON
-    document, or the CSV rows, each computed and formatted as written, _BLOCK values per "%"."""
+    document, or CSV rows rendered once _CSV_VALUES values or one longer row (in slabs)
+    are held. If computing the next row raises, the CSV rows held are yielded first."""
     columns = ["t"] + [f"v{i}" for i in range(n)]
     if fmt == "csv":
         yield ",".join(columns) + "\n"
-        block = {_BLOCK: ",%.17g" * _BLOCK, n % _BLOCK: ",%.17g" * (n % _BLOCK)}
-        for t, probs in rows:
-            values = probs.tolist()
-            yield "%d" % t
-            for i in range(0, n, _BLOCK):
-                part = values[i : i + _BLOCK]
-                yield block[len(part)] % tuple(part)
-            yield "\n"
+        block, times = np.empty((max(_CSV_VALUES // n, 1), n)), []
+
+        def rendered():
+            slabs = [_csv_text(block[: len(times), i : i + _CSV_VALUES]) for i in range(0, n, _CSV_VALUES)]
+            return "".join("%d%s\n" % (t, "".join(row)) for t, row in zip(times, zip(*slabs)))
+
+        try:
+            for t, probs in rows:
+                block[len(times)] = probs
+                times.append(t)
+                if len(times) == len(block):
+                    yield rendered()
+                    times.clear()
+        except Exception:
+            yield rendered()
+            raise
+        yield rendered()
         return
     payload = {"columns": columns, "rows": [[t] + probs.tolist() for t, probs in rows]}
     yield json.dumps(payload, indent=2) + "\n"

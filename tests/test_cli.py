@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, reproducibility."""
 
+import itertools
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import hyperwalk as hw
 import hyperwalk.cli
-from hyperwalk.cli import _BLOCK, _series_lines, main
+from hyperwalk.cli import _CSV_VALUES, _series_lines, main
 from conftest import cycle, single_edge, triangle
 
 
@@ -122,22 +123,29 @@ def test_evolve_zero_steps(single_edge_file, capsys):
 
 
 def test_evolve_norm_failure_leaves_truncated_csv_and_empty_json(triangle_file, tmp_path, capsys, monkeypatch):
-    # A walk step that doubles the state fails the hard norm bound at t = 1.
-    # Rows are written to the --out file as they are computed, so the CSV
-    # keeps the header and row 0; the JSON document is written whole or not
-    # at all, so the file is left empty.
+    # The fifth walk step doubles the state, which fails the hard norm bound
+    # at t = 5. CSV rows wait in the writer's buffer, and the rows computed
+    # before the failure are written before it propagates, so the CSV holds
+    # the header and rows 0-4, the whole series of a 4-step run. The JSON
+    # document is written whole or not at all, so the file is left empty.
+    clean = tmp_path / "clean.csv"
+    assert main(["evolve", triangle_file, "--start", "v:0", "--steps", "4", "--out", str(clean)]) == 0
     walk_action = hw.operators.walk_action
-    monkeypatch.setattr(hw.operators, "walk_action", lambda walk, x: 2 * walk_action(walk, x))
     left = {}
     for fmt in ("csv", "json"):
+        calls = itertools.count(1)
+        monkeypatch.setattr(
+            hw.operators, "walk_action", lambda walk, x: (2 if next(calls) == 5 else 1) * walk_action(walk, x)
+        )
         out = tmp_path / f"series.{fmt}"
         out.write_text("old\n")
-        argv = ["evolve", triangle_file, "--start", "v:0", "--steps", "3", "--format", fmt, "--out", str(out)]
+        argv = ["evolve", triangle_file, "--start", "v:0", "--steps", "8", "--format", fmt, "--out", str(out)]
         assert main(argv) == 2
         assert "state norm" in capsys.readouterr().err
         left[fmt] = out.read_text()
     header, rows = read_csv(left["csv"])
-    assert header == ["t", "v0", "v1", "v2"] and [row[0] for row in rows] == [0]
+    assert header == ["t", "v0", "v1", "v2"] and [row[0] for row in rows] == [0, 1, 2, 3, 4]
+    assert left["csv"] == clean.read_text()
     assert left["json"] == ""
 
 
@@ -175,8 +183,19 @@ def test_evolve_unknown_start_exit_codes(triangle_file, capsys):
 
 def test_series_csv_digits_match_17g_format():
     # Values whose shortest form and 17-digit form differ, the smallest
-    # subnormal, zero and a value that needs an exponent.
-    awkward = np.array([0.0, 5e-324, 1 / 3, 1e-300, 0.1, 1.0, 2 / 3, 1e-5])
+    # subnormal, both zeros and a value that needs an exponent; the edges of
+    # [1e-10, 10), where values are rendered from exact integers; each power of
+    # ten with its neighbours, where the 17 digits may round up to the next
+    # power; and exact ties at the 18th digit, which round half to even:
+    # 26215 / 2**18 = 0.100002288818359375 up, 26217 / 2**18 =
+    # 0.100009918212890625 down.
+    powers = [float(f"1e{k}") for k in range(-10, 1)]
+    awkward = np.array(
+        [0.0, -0.0, 5e-324, 1 / 3, 1e-300, 0.1, 1.0, 2 / 3, 1e-5]
+        + [1e-10, np.nextafter(1e-10, 0), 9.999999999999998, 10.0, 1 + 2**-52]
+        + [y for x in powers for y in (np.nextafter(x, 0), x, np.nextafter(x, 1))]
+        + [26215 / 2**18, 26217 / 2**18]
+    )
     rows = [(0, awkward), (12, awkward[::-1].copy())]
     expected = "t," + ",".join(f"v{i}" for i in range(awkward.size)) + "\n"
     for t, probs in rows:
@@ -184,13 +203,16 @@ def test_series_csv_digits_match_17g_format():
     assert "".join(_series_lines(rows, awkward.size, "csv")) == expected
 
 
-@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize(
+    "n", [3, 127, 128, 129, 259, _CSV_VALUES - 1, _CSV_VALUES, _CSV_VALUES + 1, 2 * _CSV_VALUES + 3]
+)
 def test_series_csv_rows_span_blocks(n):
-    # Rows longer than one "%" block: every value keeps its place and digits.
+    # Rows that one rendering pass holds many of, one of, or a piece of, over
+    # enough rows to fill more than two passes: every value keeps its place and digits.
     values = np.random.default_rng(n).random(n) ** 50
     values[::5] = 5e-324
     values[1::5] = 0.0
-    rows = [(0, values), (7, values[::-1].copy())]
+    rows = [(t, values if t % 2 else values[::-1].copy()) for t in range(max(2, 2 * _CSV_VALUES // n + 1))]
     expected = "t," + ",".join(f"v{i}" for i in range(n)) + "\n"
     for t, probs in rows:
         expected += ",".join([str(t)] + [f"{x:.17g}" for x in probs]) + "\n"

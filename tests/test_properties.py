@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperwalk as hw
-from hyperwalk.cli import _series_lines, main
+from hyperwalk.cli import _CSV_VALUES, _series_lines, main
 from hyperwalk.spectral import group_eigenvalues, pairing_distance
 from conftest import dense_walk, disjoint_union, pipeline, union_find_components
 
@@ -189,11 +189,13 @@ def test_degree_law_is_fixed_by_classical_step(hg):
 
 @st.composite
 def series(draw):
-    """n <= 8 columns and 1-4 rows of arbitrary finite non-negative floats, subnormals included."""
-    n = draw(st.integers(1, 8))
-    values = st.lists(st.floats(min_value=0.0, allow_infinity=False), min_size=n, max_size=n)
+    """1-4 rows of 64-bit floats of any bit pattern (nan, infinities, subnormals,
+    -0.0), n <= 8 columns or one fewer or more than the CSV writer's pass
+    holds; each row repeats up to 8 drawn values."""
+    n = draw(st.one_of(st.integers(1, 8), st.sampled_from([_CSV_VALUES - 1, _CSV_VALUES + 1])))
+    values = st.lists(st.floats(width=64), min_size=1, max_size=8)
     rows = draw(st.lists(st.tuples(st.integers(0, 10**6), values), min_size=1, max_size=4))
-    return n, [(t, np.array(probs)) for t, probs in rows]
+    return n, [(t, np.resize(np.array(probs), n)) for t, probs in rows]
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -202,7 +204,7 @@ def test_series_lines_match_per_value_references(drawn):
     n, rows = drawn
     columns = ["t"] + [f"v{i}" for i in range(n)]
     csv = ",".join(columns) + "\n"
-    csv += "".join(",".join([str(t)] + [f"{x:.17g}" for x in probs.tolist()]) + "\n" for t, probs in rows)
+    csv += "".join("%d" % t + "".join(",%.17g" % x for x in probs.tolist()) + "\n" for t, probs in rows)
     assert "".join(_series_lines(rows, n, "csv")) == csv
     payload = {"columns": columns, "rows": [[t] + probs.tolist() for t, probs in rows]}
     assert "".join(_series_lines(rows, n, "json")) == json.dumps(payload, indent=2) + "\n"
